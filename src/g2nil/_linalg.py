@@ -6,6 +6,10 @@ concerns, no external dependencies, and results are exact.
 
 Matrices are tuples of tuples of Fraction; vectors are tuples of Fraction.
 Floats are deliberately rejected here — the float code paths use numpy.
+
+`dot` and `mat_vec` skip zero factors: the vectors and matrices met here
+(basis vectors, diagonal metrics, structure constants) are mostly zeros, and
+a product with a zero Fraction costs as much as any other.
 """
 from __future__ import annotations
 
@@ -22,6 +26,8 @@ def frac(x) -> Fraction:
     Floats are rejected: silently converting them would launder roundoff
     into the exact pipeline.
     """
+    if type(x) is Fraction:
+        return x
     if isinstance(x, bool) or isinstance(x, float):
         raise TypeError(f"exact arithmetic requires int/str/Fraction, got {x!r}")
     return Fraction(x)
@@ -53,11 +59,15 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 
 def mat_vec(a: Mat, v: Sequence[Fraction]) -> Vec:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(dot(row, v) for row in a)
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(u, v)), Fraction(0))
+    total = Fraction(0)
+    for x, y in zip(u, v):
+        if x and y:
+            total += x * y
+    return total
 
 
 def mat_det(a: Mat) -> Fraction:

@@ -798,11 +798,15 @@ def _row(rid: str, algebra: str, check: str, passed: bool, detail: str) -> dict:
             "passed": bool(passed), "detail": detail}
 
 
-def _check_obstruction(name: str, fx: dict, tol) -> Iterable[dict]:
+# Each check below builds its row id first and computes the row only when
+# keep(id) is true, so a filtered regression run does only the selected work.
+
+def _check_obstruction(fx: dict, tol, keep: Callable[[str], bool]) -> Iterable[dict]:
     entry = get(fx["algebra"])
+    rid = f"fixture:{entry.name}:case{entry.derived_dim}:obstruction"
+    if not keep(rid):
+        return
     L, g = entry.algebra, _metric_from_fixture(fx)
-    case = entry.derived_dim
-    rid = f"fixture:{entry.name}:case{case}:obstruction"
     report = purely_coclosed_exists(L, g, tol)
     problems = []
     if report.exists != bool(fx["exists"]):
@@ -824,11 +828,12 @@ def _check_obstruction(name: str, fx: dict, tol) -> Iterable[dict]:
     yield _row(rid, entry.name, "obstruction", not problems, detail)
 
 
-def _check_pure_coframe(name: str, fx: dict, tol) -> Iterable[dict]:
+def _check_pure_coframe(fx: dict, tol, keep: Callable[[str], bool]) -> Iterable[dict]:
     entry = get(fx["algebra"])
+    rid = f"fixture:{entry.name}:case{entry.derived_dim}:pure_coframe"
+    if not keep(rid):
+        return
     L, g = entry.algebra, _metric_from_fixture(fx)
-    case = entry.derived_dim
-    rid = f"fixture:{entry.name}:case{case}:pure_coframe"
     scale_sq = Fraction(fx.get("scale_sq", 1))
     coframe = _coframe_from_rows(fx["coframe"])
     problems = []
@@ -873,14 +878,16 @@ def _check_pure_coframe(name: str, fx: dict, tol) -> Iterable[dict]:
     yield _row(rid, entry.name, "pure_coframe", not problems, detail)
 
 
-def _check_family_coframe(name: str, fx: dict, tol) -> Iterable[dict]:
+def _check_family_coframe(fx: dict, tol, keep: Callable[[str], bool]) -> Iterable[dict]:
     entry = get(fx["algebra"])
     L = entry.algebra
     case = entry.derived_dim
-    for k, sample in enumerate(fx["samples"]):
+    for sample in fx["samples"]:
         params = {p: Fraction(v) for p, v in zip(fx["params"], sample["values"])}
         rid = (f"fixture:{entry.name}:case{case}:family["
                + ",".join(str(params[p]) for p in fx["params"]) + "]")
+        if not keep(rid):
+            continue
         problems = []
         coframe = _coframe_from_rows(fx["coframe"], params)
         report = torsion_class(L, G2Structure.from_coframe(coframe), tol)
@@ -900,19 +907,21 @@ def _check_family_coframe(name: str, fx: dict, tol) -> Iterable[dict]:
         yield _row(rid, entry.name, "family_coframe", not problems, detail)
 
 
-def check_fixture(name: str, tol: float | None = None) -> tuple[dict, ...]:
-    """Replay one pinned fixture; returns one regression row per check."""
+def _fixture_rows(name: str, tol, keep: Callable[[str], bool]) -> Iterable[dict]:
     fx = load_fixture(name)
     kind = fx.get("kind")
     if kind == "obstruction":
-        rows = _check_obstruction(name, fx, tol)
-    elif kind == "pure_coframe":
-        rows = _check_pure_coframe(name, fx, tol)
-    elif kind == "family_coframe":
-        rows = _check_family_coframe(name, fx, tol)
-    else:
-        raise ValueError(f"fixture {name!r} has unknown kind {kind!r}")
-    return tuple(rows)
+        return _check_obstruction(fx, tol, keep)
+    if kind == "pure_coframe":
+        return _check_pure_coframe(fx, tol, keep)
+    if kind == "family_coframe":
+        return _check_family_coframe(fx, tol, keep)
+    raise ValueError(f"fixture {name!r} has unknown kind {kind!r}")
+
+
+def check_fixture(name: str, tol: float | None = None) -> tuple[dict, ...]:
+    """Replay one pinned fixture; returns one regression row per check."""
+    return tuple(_fixture_rows(name, tol, lambda rid: True))
 
 
 # --------------------------------------------------------------------------
@@ -955,7 +964,10 @@ _PROBE_DIAGS = (
 )
 
 
-def _regress_algebra(e: CatalogEntry, tol) -> Iterable[dict]:
+def _regress_algebra(e: CatalogEntry, tol, keep: Callable[[str], bool]) -> Iterable[dict]:
+    rid = f"algebra:{e.name}:case{e.derived_dim}:sanity"
+    if not keep(rid):
+        return
     L = e.algebra
     problems = []
     if not L.d_squared_is_zero():
@@ -978,13 +990,14 @@ def _regress_algebra(e: CatalogEntry, tol) -> Iterable[dict]:
     detail = "; ".join(problems) if problems else (
         f"2-step, d^2=0, dim n'={e.derived_dim}, "
         f"{'decomposable' if e.decomposable else 'indecomposable'}")
-    yield _row(f"algebra:{e.name}:case{e.derived_dim}:sanity", e.name,
-               "algebra", not problems, detail)
+    yield _row(rid, e.name, "algebra", not problems, detail)
 
 
-def _regress_purely(e: CatalogEntry, tol) -> Iterable[dict]:
-    L = e.algebra
+def _regress_purely(e: CatalogEntry, tol, keep: Callable[[str], bool]) -> Iterable[dict]:
     rid = f"exists:{e.name}:case{e.derived_dim}:purely"
+    if not keep(rid):
+        return
+    L = e.algebra
     problems = []
     if e.admits_purely_coclosed:
         report = purely_coclosed_exists(L, e.witness_metric, tol)
@@ -1007,34 +1020,38 @@ def _regress_purely(e: CatalogEntry, tol) -> Iterable[dict]:
     yield _row(rid, e.name, "purely_exists", not problems, detail)
 
 
-def _regress_nilsoliton(e: CatalogEntry, tol) -> Iterable[dict]:
+def _regress_nilsoliton(e: CatalogEntry, tol, keep: Callable[[str], bool]) -> Iterable[dict]:
     if e.nilsoliton_diag is None:
         return
     L, g = e.algebra, e.nilsoliton_metric
     rid = f"nilsoliton:{e.name}:case{e.derived_dim}:ricci"
-    report = is_nilsoliton(L, g, tol)
-    problems = []
-    if not report.is_nilsoliton:
-        problems.append("metric is not a nilsoliton")
-    elif report.soliton_constant != e.nilsoliton_constant:
-        problems.append(f"constant {report.soliton_constant} != {e.nilsoliton_constant}")
-    yield _row(rid, e.name, "nilsoliton", not problems,
-               "; ".join(problems) or f"soliton constant {e.nilsoliton_constant}")
+    if keep(rid):
+        report = is_nilsoliton(L, g, tol)
+        problems = []
+        if not report.is_nilsoliton:
+            problems.append("metric is not a nilsoliton")
+        elif report.soliton_constant != e.nilsoliton_constant:
+            problems.append(f"constant {report.soliton_constant} != {e.nilsoliton_constant}")
+        yield _row(rid, e.name, "nilsoliton", not problems,
+                   "; ".join(problems) or f"soliton constant {e.nilsoliton_constant}")
 
     rid2 = f"nilsoliton:{e.name}:case{e.derived_dim}:purely"
-    verdict = purely_coclosed_exists(L, g, tol).exists
-    ok = verdict == e.nilsoliton_purely_coclosed
-    yield _row(rid2, e.name, "nilsoliton_purely", ok,
-               f"purely={verdict}" + ("" if ok else
-                                      f" != pinned {e.nilsoliton_purely_coclosed}"))
+    if keep(rid2):
+        verdict = purely_coclosed_exists(L, g, tol).exists
+        ok = verdict == e.nilsoliton_purely_coclosed
+        yield _row(rid2, e.name, "nilsoliton_purely", ok,
+                   f"purely={verdict}" + ("" if ok else
+                                          f" != pinned {e.nilsoliton_purely_coclosed}"))
 
 
-def _regress_family(fam: MetricFamily, tol) -> Iterable[dict]:
+def _regress_family(fam: MetricFamily, tol, keep: Callable[[str], bool]) -> Iterable[dict]:
     entry = get(fam.algebra)
     L = entry.algebra
     for params, expected in fam.samples:
         rid = (f"family:{fam.algebra}:case{entry.derived_dim}:{fam.name}["
                + ",".join(f"{k}={v}" for k, v in params.items()) + "]")
+        if not keep(rid):
+            continue
         problems = []
         g = fam.metric(**params)
         closed_form = fam.purely_condition(**params)
@@ -1052,22 +1069,25 @@ def run_regression(filter: str | None = None, tol: float | None = None) -> tuple
 
     *filter* keeps only rows whose id contains the given substring
     (case-insensitive), so ``case3`` selects the dim-3 rows and an algebra
-    name selects that algebra's rows.
+    name selects that algebra's rows. Rows are selected by id before they
+    are computed.
     """
+    needle = filter.lower() if filter else ""
+
+    def keep(rid: str) -> bool:
+        return needle in rid.lower()
+
     rows: list[dict] = []
     for e in _ENTRIES:
-        rows.extend(_regress_algebra(e, tol))
+        rows.extend(_regress_algebra(e, tol, keep))
     for e in _ENTRIES:
-        rows.extend(_regress_purely(e, tol))
+        rows.extend(_regress_purely(e, tol, keep))
     for e in _ENTRIES:
-        rows.extend(_regress_nilsoliton(e, tol))
+        rows.extend(_regress_nilsoliton(e, tol, keep))
     for fam in _FAMILIES:
-        rows.extend(_regress_family(fam, tol))
+        rows.extend(_regress_family(fam, tol, keep))
     for fname in fixture_names():
-        rows.extend(check_fixture(fname, tol))
-    if filter:
-        needle = filter.lower()
-        rows = [r for r in rows if needle in r["id"].lower()]
+        rows.extend(_fixture_rows(fname, tol, keep))
     return tuple(rows)
 
 

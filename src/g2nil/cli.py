@@ -2,8 +2,10 @@
 regression replay and catalog export.
 
 Every command is a thin wrapper around the library; no mathematics lives in
-this module.  Exit codes: 0 success, 1 regression failure, 2 parse error,
-3 degenerate input, 4 unsupported algebra.
+this module.  Exit codes: 0 success, 1 regression failure, 2 parse error
+(including a metric that is not a symmetric 7x7 matrix), 3 degenerate input
+(including a metric that is not positive definite), 4 unsupported algebra.
+Metrics are validated here, once, rather than inside the library's hot path.
 """
 
 from __future__ import annotations
@@ -84,20 +86,36 @@ def _parse_assignments(text: str) -> dict:
 
 
 def _metric_from_json(data) -> Metric:
-    if isinstance(data, dict) and "g" in data:
-        return Metric.from_json(data)
-    if isinstance(data, dict) and "diag" in data:
-        return Metric.diagonal([Fraction(str(x)) for x in data["diag"]])
-    if isinstance(data, dict) and "rows" in data:
-        data = data["rows"]
-    if isinstance(data, (tuple, type([]))):
-        return Metric([[Fraction(str(x)) for x in row] for row in data])
+    try:
+        if isinstance(data, dict) and "g" in data:
+            return Metric.from_json(data)
+        if isinstance(data, dict) and "diag" in data:
+            return Metric.diagonal([Fraction(str(x)) for x in data["diag"]])
+        if isinstance(data, dict) and "rows" in data:
+            data = data["rows"]
+        if isinstance(data, (tuple, type([]))):
+            return Metric([[Fraction(str(x)) for x in row] for row in data])
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise _CliParseError(f"bad metric: {exc}") from exc
     raise _CliParseError("metric JSON must be rows, {'g': rows}, "
                          "{'rows': rows} or {'diag': entries}")
 
 
 def _resolve_metric(spec: str, algebra_name: str) -> Metric:
-    """'identity', 'name=value,...' family parameters, or a JSON file."""
+    """'identity', 'name=value,...' family parameters, or a JSON file.
+
+    The metric must be a 7x7 inner product: another size is a parse error,
+    and a matrix that is not positive definite raises DegenerateError.
+    """
+    g = _read_metric(spec, algebra_name)
+    if g.dim != 7:
+        raise _CliParseError(f"metric must be 7x7, got {g.dim}x{g.dim}")
+    if not g.is_positive_definite():
+        raise DegenerateError("metric is not positive definite")
+    return g
+
+
+def _read_metric(spec: str, algebra_name: str) -> Metric:
     if spec == "identity":
         return Metric.identity(7)
     if Path(spec).is_file():

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import lcm
 from typing import Sequence
 
-from ._linalg import mat_det, rational_root
-from .exterior import (DegenerateError, ExactnessError, KForm, MetricContext, Mode,
-                       close, forms_close, hodge, resolve_tolerance, top_wedge_coeff,
-                       wedge)
+from ._linalg import mat, mat_det, rational_root
+from .exterior import (DegenerateError, ExactnessError, KForm, Mode, _float_det,
+                       _merge_sign, close, hodge, resolve_tolerance, top_wedge_coeff)
 from .liealg import LieAlgebra, Metric
 
 __all__ = [
@@ -73,46 +74,74 @@ def phi_from_coframe(coframe: Sequence[KForm]) -> KForm:
     return out
 
 
+@cache
+def _top_sign(a: int, b: int) -> int:
+    """Sign of e^A ∧ e^B ∧ e^K = ± e^{1..7} for disjoint 2-index masks a, b."""
+    ab = a | b
+    return _merge_sign(a, b) * _merge_sign(ab, 0x7F ^ ab)
+
+
+def _b_matrix(terms: dict[int, object]) -> list[list]:
+    """6 b(e_i, e_j) = coefficient of (e_i ⌟ phi) ∧ (e_j ⌟ phi) ∧ phi on e^{1..7}.
+
+    `terms` maps the bitmasks of phi's nonzero terms to their coefficients;
+    each contraction e_i ⌟ phi is kept as (mask, signed coefficient) pairs, and
+    the triple wedge is read off term by term, so integer coefficients stay
+    integers.
+    """
+    contractions = []
+    for i in range(7):
+        bit = 1 << i
+        below = bit - 1
+        contractions.append([(m ^ bit, -c if (m & below).bit_count() & 1 else c)
+                             for m, c in terms.items() if m & bit])
+    b = [[0] * 7 for _ in range(7)]
+    for i in range(7):
+        for j in range(i, 7):
+            total = 0
+            for ma, ca in contractions[i]:
+                for mb, cb in contractions[j]:
+                    if not ma & mb:
+                        ck = terms.get(0x7F ^ ma ^ mb)
+                        if ck:
+                            total += _top_sign(ma, mb) * ca * cb * ck
+            b[i][j] = b[j][i] = total
+    return b
+
+
 def induced_metric(phi: KForm) -> tuple[Metric, object]:
     """Metric and signed volume coefficient induced by a nondegenerate 3-form.
 
     Raises DegenerateError when phi is not a G2-structure; in exact mode an
-    irrational det(b)^{1/9} raises ExactnessError.
+    irrational det(b)^{1/9} raises ExactnessError. Exact coefficients are put
+    over a common denominator first, so b is built in integer arithmetic.
     """
     if phi.dim != 7 or phi.degree != 3:
         raise ValueError("expected a 3-form in dimension 7")
     mode = phi.mode
     exact = mode is Mode.EXACT
-    zero = 0 if exact else 0.0
-    one = 1 if exact else 1.0
-    contractions = []
-    for i in range(7):
-        v = [zero] * 7
-        v[i] = one
-        contractions.append(phi.interior(v))
-    b = [[zero] * 7 for _ in range(7)]
-    for i in range(7):
-        for j in range(i, 7):
-            c = top_wedge_coeff(contractions[i].wedge(contractions[j]), phi)
-            b[i][j] = b[j][i] = Fraction(c, 6) if exact else c / 6.0
+    # b = b6 / scale, with b6 integral in exact mode
     if exact:
-        det_b = mat_det(tuple(tuple(Fraction(x) for x in row) for row in b))
-        if det_b == 0:
-            raise DegenerateError("3-form is degenerate")
+        den = lcm(*(c.denominator for c in phi._terms.values()))
+        scale = 6 * den ** 3
+        b6 = _b_matrix({m: int(c * den) for m, c in phi._terms.items()})
+        det_b = mat_det(mat(b6)) / scale ** 7
+    else:
+        scale = 6.0
+        b6 = _b_matrix(phi._terms)
+        det_b = _float_det(b6) / scale ** 7
+    if det_b == 0:
+        raise DegenerateError("3-form is degenerate")
+    if exact:
         vol = rational_root(det_b, 9)
         if vol is None:
             raise ExactnessError(
                 f"det(b)^(1/9) is irrational (det b = {det_b}); use float mode")
-        factor = 1 / vol
     else:
-        from .exterior import _float_det
-        det_b = _float_det(b)
-        if det_b == 0.0:
-            raise DegenerateError("3-form is degenerate")
         vol = (abs(det_b)) ** (1.0 / 9.0) * (1.0 if det_b > 0 else -1.0)
-        factor = 1.0 / vol
-    g_rows = [[x * factor for x in row] for row in b]
-    metric = Metric(g_rows, mode)
+    factor = 1 / (scale * vol)
+    zero = 0 * factor
+    metric = Metric([[x * factor if x else zero for x in row] for row in b6], mode)
     if not metric.is_positive_definite():
         raise DegenerateError("3-form does not induce a positive metric")
     return metric, vol

@@ -44,6 +44,10 @@ class LieAlgebra:
         self.d_forms = tuple(d_forms)
         self._d_float = None
         self._brackets: dict[tuple[int, int], Vec] | None = None
+        # metric-independent invariants, computed on first use
+        self._derived: tuple[Vec, ...] | None = None
+        self._center: tuple[Vec, ...] | None = None
+        self._two_step: bool | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -111,20 +115,19 @@ class LieAlgebra:
     def bracket_basis(self, a: int, b: int) -> Vec:
         """[f_a, f_b] as a coefficient vector (a, b are 1-based)."""
         if self._brackets is None:
-            self._brackets = {}
-            for i in range(1, self.dim + 1):
-                for j in range(i + 1, self.dim + 1):
-                    v = [Fraction(0)] * self.dim
+            n = self.dim
+            table = {(i, i): (Fraction(0),) * n for i in range(1, n + 1)}
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    v = [Fraction(0)] * n
                     for k, form in enumerate(self.d_forms):
                         c = form.coeff((i, j))
                         if c:
                             v[k] = -Fraction(c)
-                    self._brackets[(i, j)] = tuple(v)
-        if a == b:
-            return tuple(Fraction(0) for _ in range(self.dim))
-        if a < b:
-            return self._brackets[(a, b)]
-        return tuple(-x for x in self._brackets[(b, a)])
+                    table[(i, j)] = tuple(v)
+                    table[(j, i)] = tuple(-x for x in v)
+            self._brackets = table
+        return self._brackets[(a, b)]
 
     def bracket(self, x: Sequence, y: Sequence) -> Vec:
         """[x, y] for vectors given by rational coefficient sequences."""
@@ -144,37 +147,42 @@ class LieAlgebra:
 
     # -- distinguished subspaces ---------------------------------------------
 
-    def derived_basis(self) -> list[Vec]:
-        rows = []
-        for i in range(1, self.dim + 1):
-            for j in range(i + 1, self.dim + 1):
-                w = self.bracket_basis(i, j)
-                if any(w):
-                    rows.append(w)
-        return row_space_basis(tuple(rows)) if rows else []
+    def derived_basis(self) -> tuple[Vec, ...]:
+        """Basis of [g, g]; computed once per algebra."""
+        if self._derived is None:
+            rows = []
+            for i in range(1, self.dim + 1):
+                for j in range(i + 1, self.dim + 1):
+                    w = self.bracket_basis(i, j)
+                    if any(w):
+                        rows.append(w)
+            self._derived = tuple(row_space_basis(tuple(rows))) if rows else ()
+        return self._derived
 
-    def center_basis(self) -> list[Vec]:
-        rows = []
-        for b in range(1, self.dim + 1):
-            for k in range(self.dim):
-                row = [self.bracket_basis(a, b)[k] for a in range(1, self.dim + 1)]
-                if any(row):
-                    rows.append(tuple(row))
-        if not rows:
-            return [tuple(Fraction(int(i == j)) for j in range(self.dim)) for i in range(self.dim)]
-        return nullspace(tuple(rows))
+    def center_basis(self) -> tuple[Vec, ...]:
+        """Basis of the center; computed once per algebra."""
+        if self._center is None:
+            rows = []
+            for b in range(1, self.dim + 1):
+                for k in range(self.dim):
+                    row = [self.bracket_basis(a, b)[k] for a in range(1, self.dim + 1)]
+                    if any(row):
+                        rows.append(tuple(row))
+            if rows:
+                self._center = tuple(nullspace(tuple(rows)))
+            else:
+                self._center = tuple(tuple(Fraction(int(i == j)) for j in range(self.dim))
+                                     for i in range(self.dim))
+        return self._center
 
     def is_two_step(self) -> bool:
         """Nonabelian with [g, [g, g]] = 0, i.e. derived algebra is central."""
-        derived = self.derived_basis()
-        if not derived:
-            return False
-        for w in derived:
-            for b in range(1, self.dim + 1):
-                basis_b = tuple(Fraction(int(i == b - 1)) for i in range(self.dim))
-                if any(self.bracket(w, basis_b)):
-                    return False
-        return True
+        if self._two_step is None:
+            derived = self.derived_basis()
+            self._two_step = bool(derived) and not any(
+                any(self.bracket(w, tuple(Fraction(int(i == b)) for i in range(self.dim))))
+                for w in derived for b in range(self.dim))
+        return self._two_step
 
     def d_squared_is_zero(self) -> bool:
         return all(self.ce_diff(f).is_zero(0.0) for f in self.d_forms)
@@ -198,9 +206,13 @@ class Metric:
         if any(len(r) != self.dim for r in self.rows):
             raise ValueError("metric must be square")
         for i in range(self.dim):
-            for j in range(self.dim):
+            for j in range(i):
                 if self.rows[i][j] != self.rows[j][i]:
                     raise ValueError("metric must be symmetric")
+        self._zero = Fraction(0) if mode is Mode.EXACT else 0.0
+        # (j, g_ij) for the nonzero entries of each row; the rows are immutable
+        self._nonzero = tuple(tuple((j, gij) for j, gij in enumerate(row) if gij)
+                              for row in self.rows)
         self._ctx: MetricContext | None = None
 
     @classmethod
@@ -222,16 +234,29 @@ class Metric:
         return self._ctx
 
     def inner(self, x: Sequence, y: Sequence):
-        return dot(mat_vec(self.rows, tuple(x)), tuple(y)) if self.mode is Mode.EXACT else \
-            sum(sum(float(gx) * float(vx) for gx, vx in zip(row, x)) * float(yv)
-                for row, yv in zip(self.rows, y))
+        """g(x, y) = sum_i (sum_j g_ij x_j) y_i over the nonzero y_i, g_ij and x_j.
+
+        One loop for both modes: an exact metric gives a Fraction, a float
+        metric a float.
+        """
+        total = self._zero
+        for yi, row in zip(y, self._nonzero):
+            if yi:
+                acc = 0
+                for j, gij in row:
+                    xj = x[j]
+                    if xj:
+                        acc += gij * xj
+                if acc:
+                    total += acc * yi
+        return total
 
     def norm_sq(self, x: Sequence):
         return self.inner(x, x)
 
     def is_positive_definite(self) -> bool:
         rows = self.rows
-        if all(rows[i][j] == 0 for i in range(self.dim) for j in range(self.dim) if i != j):
+        if all(j == i for i, row in enumerate(self._nonzero) for j, _ in row):
             return all(rows[i][i] > 0 for i in range(self.dim))
         for k in range(1, self.dim + 1):
             sub = tuple(tuple(rows[i][j] for j in range(k)) for i in range(k))
@@ -427,7 +452,7 @@ def is_nilsoliton(L: LieAlgebra, g: Metric, tol: float | None = None) -> Nilsoli
 
     def apply_rc(x):
         if exact:
-            return tuple(dot(row, x) for row in rc)
+            return mat_vec(rc, x)
         return tuple(sum(float(rc[i][j]) * float(x[j]) for j in range(n)) for i in range(n))
 
     def brk(x, y):

@@ -470,7 +470,8 @@ def symmetrize_M(M, tol: float | None = None) -> dict:
     P = Vt.T @ np.diag(signs) @ U.T
     A = Mf @ P
     scale = 1.0 + float(np.max(np.abs(Mf)))
-    assert np.max(np.abs(P @ P.T - np.eye(3))) < 1e-12 * (1.0 + float(np.max(np.abs(P))))
+    if not np.max(np.abs(P @ P.T - np.eye(3))) < 1e-12 * (1.0 + float(np.max(np.abs(P)))):
+        raise DegenerateError("symmetrization produced a non-orthogonal P")
     if np.max(np.abs(A - A.T)) > 10 * eps * scale or abs(np.trace(A)) > 10 * eps * scale:
         raise DegenerateError("symmetrization failed numerically")
     return {"P": P.tolist(), "A": A.tolist()}

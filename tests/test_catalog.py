@@ -191,6 +191,34 @@ def test_run_regression_all_green():
     assert catalog.run_regression(filter="no-such-check") == ()
 
 
+def test_filtered_regression_equals_full_run_filtered():
+    full = catalog.run_regression()
+    for needle in ("case1", "case3", "nilsoliton", "n7_3_B"):
+        want = tuple(r for r in full if needle.lower() in r["id"].lower())
+        assert want
+        assert catalog.run_regression(filter=needle) == want
+    assert catalog.run_regression(filter="CASE1") == catalog.run_regression(filter="case1")
+
+
+def test_filter_skips_unselected_checks(monkeypatch):
+    """Rows are selected by id before they are computed."""
+    cases = {}
+
+    def counting(fn):
+        def wrapper(L, g, *args, **kwargs):
+            n = len(L.derived_basis())
+            cases[n] = cases.get(n, 0) + 1
+            return fn(L, g, *args, **kwargs)
+        return wrapper
+
+    for name in ("purely_coclosed_exists", "is_nilsoliton"):
+        monkeypatch.setattr(catalog, name, counting(getattr(catalog, name)))
+    rows = catalog.run_regression(filter="case1")
+    assert rows and all("case1" in r["id"] for r in rows)
+    assert cases.get(1, 0) > 0
+    assert set(cases) == {1}
+
+
 def test_export_round_trips_through_json():
     payload = catalog.export()
     assert set(payload) == {"entries", "families", "fixtures", "expected_verdicts"}

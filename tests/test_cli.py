@@ -144,6 +144,25 @@ def test_malformed_inputs_exit_2(capsys):
     assert code == 2 and "family" in err
 
 
+def test_metric_must_be_a_7x7_inner_product(capsys):
+    tmp = pathlib.Path(tempfile.mkdtemp())
+    cases = (
+        ("indefinite", {"diag": [1, 1, 1, 1, 1, 1, -1]}, 3, "positive definite"),
+        ("singular", {"diag": [1, 1, 1, 1, 1, 1, 0]}, 3, "positive definite"),
+        ("six", {"diag": [1, 1, 1, 1, 1, 1]}, 2, "7x7"),
+        ("unsymmetric", [[1, 2], [3, 4]], 2, "symmetric"),
+    )
+    for name, data, want, text in cases:
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps(data))
+        for algebra in ("n7_3_A", "h7"):
+            code, out, err = run_cli(capsys, "exists", algebra, "--metric", path)
+            assert code == want, (name, algebra, err)
+            assert not out
+            assert err.startswith("error:") and text in err
+            assert len(err.strip().splitlines()) == 1
+
+
 def test_degenerate_coframe_exits_3(capsys):
     tmp = pathlib.Path(tempfile.mkdtemp())
     degen = tmp / "degen.json"

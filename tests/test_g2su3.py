@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from g2nil.exterior import KForm, Mode, forms_close, wedge
+from g2nil.exterior import KForm, Mode, forms_close, top_wedge_coeff, wedge
 from g2nil.g2su3 import (
     G2Structure,
     calibrates,
@@ -85,6 +85,48 @@ def test_induced_metric_is_gram_of_coframe():
         AtA = [[sum(A[k][i] * A[k][j] for k in range(7)) for j in range(7)]
                for i in range(7)]
         assert [list(r) for r in struct.metric.rows] == AtA
+
+
+def _textbook_b(phi):
+    """b(e_i, e_j) = (1/6) coefficient of (e_i ⌟ phi) ∧ (e_j ⌟ phi) ∧ phi."""
+    one = 1 if phi.mode is Mode.EXACT else 1.0
+    cs = [phi.interior([one if k == i else 0 * one for k in range(7)]) for i in range(7)]
+    return [[top_wedge_coeff(cs[i].wedge(cs[j]), phi) / (6 * one) for j in range(7)]
+            for i in range(7)]
+
+
+def _dense_invertible(rng):
+    """L U with L unit lower triangular and U upper triangular with nonzero diagonal."""
+    lower = [[Fraction(int(i == j)) if j >= i else rand_frac(rng) for j in range(7)]
+             for i in range(7)]
+    upper = [[rand_frac(rng) if j > i else (rng.choice([-1, 1]) * Fraction(rng.randint(1, 6), 3)
+                                            if j == i else Fraction(0))
+              for j in range(7)] for i in range(7)]
+    return [[sum(lower[i][k] * upper[k][j] for k in range(7)) for j in range(7)]
+            for i in range(7)]
+
+
+def test_induced_metric_matches_wedge_definition():
+    rng = random.Random(SEED + 7)
+    for _ in range(8):
+        A = _dense_invertible(rng)
+        phi = phi_from_coframe([KForm.from_terms(7, 1, {(j + 1,): A[i][j] for j in range(7)
+                                                        if A[i][j]}) for i in range(7)])
+        # a rational cube keeps det(b)^(1/9) rational and adds denominators
+        for lam in (Fraction(1), Fraction(2, 3), Fraction(-5, 7)):
+            scaled = lam ** 3 * phi
+            g, vol = induced_metric(scaled)
+            b = _textbook_b(scaled)
+            want_vol = Fraction(lam) ** 7 * G2Structure.from_phi(phi).volume
+            assert vol == want_vol
+            assert [list(r) for r in g.rows] == [[x / want_vol for x in r] for r in b]
+            assert all(type(x) is Fraction for r in g.rows for x in r)
+        gf, volf = induced_metric(phi.to_float())
+        bf = _textbook_b(phi.to_float())
+        assert all(type(x) is float for r in gf.rows for x in r)
+        for r, rb in zip(gf.rows, bf):
+            for x, xb in zip(r, rb):
+                assert abs(x - xb / volf) <= 1e-9 * (1.0 + abs(x))
 
 
 def test_from_coframe_handles_either_orientation():

@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2nil.exterior import KForm, Mode, ModeMismatchError, forms_close
 from g2nil.liealg import (
@@ -140,6 +142,80 @@ def test_derived_and_center_bases():
     assert len(derived) == 1 and derived[0][6] != 0
     center = H5_R2.center_basis()
     assert len(center) == 3  # f5, f6, f7
+
+
+def test_algebra_invariants_are_immutable_and_stable():
+    rng = random.Random(SEED + 11)
+    for _ in range(10):
+        L = rand_two_step(rng, derived=rng.randint(1, 3))
+        derived, center = L.derived_basis(), L.center_basis()
+        assert isinstance(derived, tuple) and isinstance(center, tuple)
+        assert all(isinstance(v, tuple) for v in derived + center)
+        assert L.is_two_step() is True
+        assert L.derived_basis() == derived and L.center_basis() == center
+        assert L.is_two_step() is True
+        # a fresh copy of the same algebra computes the same invariants
+        M = LieAlgebra.from_json(L.to_json())
+        assert M.derived_basis() == derived and M.center_basis() == center
+
+
+def test_bracket_basis_table_is_antisymmetric():
+    rng = random.Random(SEED + 12)
+    L = rand_two_step(rng, derived=3)
+    for a in range(1, 8):
+        assert not any(L.bracket_basis(a, a))
+        for b in range(1, 8):
+            assert L.bracket_basis(b, a) == tuple(-x for x in L.bracket_basis(a, b))
+
+
+# exact entries with plenty of zeros, as in basis vectors and sparse metrics
+_EXACT = st.one_of(st.just(Fraction(0)),
+                   st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+_FLOAT = st.one_of(st.just(0.0), st.floats(min_value=-1e3, max_value=1e3,
+                                           allow_nan=False, allow_infinity=False))
+
+
+def _symmetric(entries, n=7):
+    """Symmetric n x n matrix from the n(n+1)/2 upper-triangle entries."""
+    rows = [[None] * n for _ in range(n)]
+    it = iter(entries)
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = next(it)
+    return rows
+
+
+def _inner_cases(scalar):
+    return st.tuples(st.lists(scalar, min_size=28, max_size=28).map(_symmetric),
+                     st.lists(scalar, min_size=7, max_size=7),
+                     st.lists(scalar, min_size=7, max_size=7))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_inner_cases(_EXACT), st.booleans())
+def test_inner_exact_equals_dense_sum(case, diagonal):
+    rows, x, y = case
+    if diagonal:
+        rows = [[rows[i][j] if i == j else Fraction(0) for j in range(7)] for i in range(7)]
+    g = Metric(rows)
+    got = g.inner(x, y)
+    assert type(got) is Fraction
+    assert got == sum((x[i] * rows[i][j] * y[j] for i in range(7) for j in range(7)),
+                      Fraction(0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_inner_cases(_FLOAT))
+def test_inner_float_equals_dense_sum(case):
+    rows, x, y = case
+    g = Metric(rows, Mode.FLOAT)
+    got = g.inner(x, y)
+    assert type(got) is float
+    # the same association as the implementation, so skipping zeros is exact
+    assert got == sum(sum(gij * xj for gij, xj in zip(row, x)) * yi
+                      for row, yi in zip(rows, y))
+    # rational vectors against a float metric still give a float
+    assert type(g.inner([Fraction(1)] * 7, [Fraction(1, 2)] * 7)) is float
 
 
 def test_jz_is_g_skew():

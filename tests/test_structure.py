@@ -322,3 +322,27 @@ def test_coclosed_report_shape():
     assert rep.kind == "coclosed"
     assert rep.case == 3
     assert rep.exists
+
+
+def test_pinned_verdict_independent_of_earlier_calls():
+    """Algebra invariants are cached per algebra; nothing metric-dependent is."""
+    fx = catalog.load_fixture("n7_3_B_obstructed.json")
+    L = LieAlgebra.from_json(catalog.get("n7_3_B").algebra.to_json())
+    g = Metric.diagonal([Fraction(x) for x in fx["metric"]["diag"]])
+    rows = g.rows
+    first = purely_coclosed_exists(L, g).to_json()
+    assert first["exists"] is fx["exists"]
+    assert first["diagnostics"]["plus"] == fx["diagnostics"]["plus"]
+    assert first["diagnostics"]["minus"] == fx["diagnostics"]["minus"]
+    # use the same algebra and metric in other calls and with other partners
+    purely_coclosed_exists(L, Metric.identity(7))
+    purely_coclosed_exists(L, g.to_float())
+    purely_coclosed_exists(N7_3_B, g)
+    coclosed_exists(L, g)
+    sd_gram(decompose(L, Metric.diagonal(range(1, 8))), orientation=-1)
+    for orient in (1, -1):
+        S = sd_gram(decompose(L, g), orientation=orient)
+        key = "s_plus" if orient == 1 else "s_minus"
+        assert S == [[Fraction(x) for x in row] for row in fx[key]]
+    assert purely_coclosed_exists(L, g).to_json() == first
+    assert g.rows == rows
