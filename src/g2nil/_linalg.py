@@ -1,11 +1,13 @@
-"""Exact rational linear algebra for small matrices.
+"""Scalar-generic linear algebra for small matrices.
 
 Everything in this package lives in dimension <= 7, so plain Gaussian
-elimination over `fractions.Fraction` is the right tool: no pivot-growth
-concerns, no external dependencies, and results are exact.
+elimination is the right tool. Each routine follows the scalar type of its
+input: `fractions.Fraction` entries give exact results, `float` entries give
+float results. Only the exact coercions `frac`, `vec` and `mat` reject floats.
 
-Matrices are tuples of tuples of Fraction; vectors are tuples of Fraction.
-Floats are deliberately rejected here — the float code paths use numpy.
+Matrices are tuples of tuples; vectors are tuples. `mat_det` uses closed forms
+up to 3x3 (the covector-Gram minors of `hodge`) and pivots on the largest
+|entry| beyond that; `mat_inv` always pivots on the largest |entry|.
 
 `dot` and `mat_vec` skip zero factors: the vectors and matrices met here
 (basis vectors, diagonal metrics, structure constants) are mostly zeros, and
@@ -44,36 +46,37 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return m
 
 
-def identity(n: int) -> Mat:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
 def transpose(a: Mat) -> Mat:
     return tuple(zip(*a)) if a else ()
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def mat_vec(a: Mat, v: Sequence[Fraction]) -> Vec:
+def mat_vec(a: Mat, v: Sequence) -> Vec:
     return tuple(dot(row, v) for row in a)
 
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
+def dot(u: Sequence, v: Sequence):
+    total = type(u[0])(0) if u else 0  # the zero of u's scalar type
     for x, y in zip(u, v):
         if x and y:
             total += x * y
     return total
 
 
-def mat_det(a: Mat) -> Fraction:
+def _largest_pivot(rows: list[list], col: int) -> int | None:
+    """Row (from col on) of the largest |entry| in column col; None if all are zero."""
+    return max((r for r in range(col, len(rows)) if rows[r][col]),
+               key=lambda r: abs(rows[r][col]), default=None)
+
+
+def mat_det(a: Mat):
     n = len(a)
     if n == 0:
-        return Fraction(1)
+        return 1
     if n == 1:
         return a[0][0]
     if n == 2:
@@ -83,18 +86,19 @@ def mat_det(a: Mat) -> Fraction:
                 - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
                 + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
     rows = [list(row) for row in a]
-    det = Fraction(1)
+    det = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        pivot = _largest_pivot(rows, col)
         if pivot is None:
-            return Fraction(0)
+            return 0 * rows[col][col]
+        p = rows[pivot][col]
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
             det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
+        det *= p
+        inv = 1 / p
         for r in range(col + 1, n):
-            if rows[r][col] != 0:
+            if rows[r][col]:
                 factor = rows[r][col] * inv
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
     return det
@@ -102,27 +106,24 @@ def mat_det(a: Mat) -> Fraction:
 
 def mat_inv(a: Mat) -> Mat:
     n = len(a)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    kind = type(a[0][0]) if a else Fraction
+    aug = [list(row) + [kind(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        pivot = _largest_pivot(aug, col)
         if pivot is None:
             raise ZeroDivisionError("singular matrix")
         aug[col], aug[pivot] = aug[pivot], aug[col]
         inv = 1 / aug[col][col]
         aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
+            if r != col and aug[r][col]:
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def solve(a: Mat, b: Sequence[Fraction]) -> Vec:
-    return mat_vec(mat_inv(a), b)
-
-
 def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns."""
+    """Reduced row echelon form and pivot columns (exact input)."""
     if not a:
         return (), ()
     rows = [list(row) for row in a]
@@ -169,28 +170,30 @@ def nullspace(a: Mat) -> list[Vec]:
     return basis
 
 
-def gram_schmidt_sq(
-    vectors: Sequence[Sequence[Fraction]],
-    ip: Callable[[Sequence[Fraction], Sequence[Fraction]], Fraction],
-) -> tuple[list[Vec], list[Fraction]]:
+def gram_schmidt_sq(vectors: Sequence[Sequence], ip: Callable) -> tuple[list[Vec], list]:
     """Normalization-free Gram-Schmidt.
 
     Returns an orthogonal (not orthonormal) basis together with the squared
-    norms q_i, so callers can stay in rational arithmetic: the orthonormal
-    vector is w_i / sqrt(q_i), and any expression quadratic in it picks up a
-    rational factor 1/q_i.
+    norms q_i, so exact callers can stay in rational arithmetic: the
+    orthonormal vector is w_i / sqrt(q_i), and any expression quadratic in it
+    picks up a rational factor 1/q_i. Raises DegenerateError when some q_i is
+    not positive (dependent vectors, or an inner product that is not
+    positive definite).
     """
+    from .exterior import DegenerateError  # exterior imports this module
+
     ortho: list[Vec] = []
-    norms_sq: list[Fraction] = []
+    norms_sq: list = []
     for v in vectors:
-        w = [frac(x) for x in v]
+        w = list(v)
         for u, q in zip(ortho, norms_sq):
             c = ip(w, u) / q
-            if c != 0:
+            if c:
                 w = [x - c * y for x, y in zip(w, u)]
         q = ip(w, w)
-        if q == 0:
-            raise ValueError("gram_schmidt_sq: vectors are linearly dependent")
+        if not q > 0:
+            raise DegenerateError(
+                "gram_schmidt_sq: vectors are dependent or the inner product is not positive")
         ortho.append(tuple(w))
         norms_sq.append(q)
     return ortho, norms_sq

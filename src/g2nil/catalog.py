@@ -527,7 +527,8 @@ def _ident_diag() -> tuple:
 
 
 def _diag7(*entries) -> tuple:
-    assert len(entries) == 7
+    if len(entries) != 7:
+        raise ValueError(f"expected 7 diagonal entries, got {len(entries)}")
     return tuple(Fraction(e) for e in entries)
 
 

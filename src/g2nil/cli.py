@@ -3,8 +3,10 @@ regression replay and catalog export.
 
 Every command is a thin wrapper around the library; no mathematics lives in
 this module.  Exit codes: 0 success, 1 regression failure, 2 parse error
-(including a metric that is not a symmetric 7x7 matrix), 3 degenerate input
-(including a metric that is not positive definite), 4 unsupported algebra.
+(including a metric that is not a symmetric 7x7 matrix, an algebra file with
+float structure constants, and a negative or non-finite --tolerance),
+3 degenerate input (including a metric that is not positive definite),
+4 unsupported algebra.
 Metrics are validated here, once, rather than inside the library's hot path.
 """
 
@@ -12,13 +14,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import catalog
 from .catalog import UnknownAlgebraError, parse_coefficient
-from .exterior import DegenerateError, ExactnessError, KForm, Mode
+from .exterior import DegenerateError, ExactnessError, KForm, Mode, ModeMismatchError
 from .g2su3 import G2Structure, torsion_class
 from .construct import construct
 from .liealg import LieAlgebra, Metric
@@ -59,7 +62,7 @@ def _resolve_algebra(spec: str) -> LieAlgebra:
         data = _load_json(spec)
         try:
             return LieAlgebra.from_json(data)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ModeMismatchError) as exc:
             raise _CliParseError(f"bad algebra file {spec}: {exc}") from exc
     try:
         return catalog.get(spec).algebra
@@ -93,7 +96,7 @@ def _metric_from_json(data) -> Metric:
             return Metric.diagonal([Fraction(str(x)) for x in data["diag"]])
         if isinstance(data, dict) and "rows" in data:
             data = data["rows"]
-        if isinstance(data, (tuple, type([]))):
+        if isinstance(data, (tuple, list)):
             return Metric([[Fraction(str(x)) for x in row] for row in data])
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise _CliParseError(f"bad metric: {exc}") from exc
@@ -137,7 +140,7 @@ def _read_metric(spec: str, algebra_name: str) -> Metric:
 
 def _coframe_from_file(path: str, params: dict | None, mode: Mode) -> list[KForm]:
     data = _load_json(path)
-    if isinstance(data, (tuple, type([]))):
+    if isinstance(data, (tuple, list)):
         data = {"coframe": data}
     if "coframe" not in data:
         raise _CliParseError(f"{path} does not contain a 'coframe' entry")
@@ -183,8 +186,8 @@ def _emit(payload: dict, fmt: str) -> None:
             print(f"{key}:")
             for k, v in value.items():
                 print(f"  {k}: {v}")
-        elif isinstance(value, (tuple, type([]))) and value and \
-                isinstance(value[0], (tuple, type([]))):
+        elif isinstance(value, (tuple, list)) and value and \
+                isinstance(value[0], (tuple, list)):
             print(f"{key}:")
             for row in value:
                 print("  [" + ", ".join(str(x) for x in row) + "]")
@@ -269,11 +272,18 @@ def _cmd_catalog(args) -> int:
 # parser
 # --------------------------------------------------------------------------
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--mode", choices=("exact", "float"), default="exact",
                         help="arithmetic mode (default: exact)")
-    common.add_argument("--tolerance", type=float, default=None,
+    common.add_argument("--tolerance", type=_tolerance, default=None,
                         help="comparison tolerance for float mode "
                              "(default: 1e-9, or G2NIL_TOLERANCE)")
     common.add_argument("--format", choices=("text", "json"), default="text",

@@ -22,9 +22,10 @@ import numpy as np
 
 from .exterior import DegenerateError, KForm, Mode, resolve_tolerance
 from .g2su3 import TorsionReport, induced_metric, phi_from_coframe, torsion_class
-from .liealg import LieAlgebra, Metric, bracket_float
-from .structure import (CriterionReport, MetricDecomposition, decompose,
-                        purely_coclosed_exists, symmetrize_M)
+from ._linalg import gram_schmidt_sq
+from .liealg import LieAlgebra, Metric
+from .structure import (CriterionReport, MetricDecomposition, _orthocomplement_float,
+                        decompose, purely_coclosed_exists, symmetrize_M)
 
 __all__ = ["Construction", "construct", "construct_coclosed",
            "construct_case1", "construct_case2", "construct_case3"]
@@ -34,17 +35,10 @@ __all__ = ["Construction", "construct", "construct_coclosed",
 # small numerical helpers
 
 
-def _gram_schmidt(vectors, gm: np.ndarray, tol: float = 1e-12):
-    """Orthonormal rows spanning the same space, inner product x^T gm y."""
-    out = []
-    for v in vectors:
-        w = np.array([float(x) for x in v], dtype=float)
-        for u in out:
-            w = w - (u @ gm @ w) * u
-        n = float(w @ gm @ w)
-        if n > tol:
-            out.append(w / np.sqrt(n))
-    return out
+def _orthonormal(vectors, g: Metric) -> list[np.ndarray]:
+    """Orthonormal frame spanning the (independent) vectors, inner product g."""
+    ortho, q = gram_schmidt_sq([g.as_vector(v) for v in vectors], g.inner)
+    return [np.array(w) / np.sqrt(n) for w, n in zip(ortho, q)]
 
 
 def _flat(v: np.ndarray, gm: np.ndarray) -> KForm:
@@ -96,21 +90,25 @@ def _so3_vee(W: np.ndarray) -> np.ndarray:
     return np.array([W[2, 1], W[0, 2], W[1, 0]])
 
 
+def _so3_hat(n: np.ndarray) -> np.ndarray:
+    return np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
+
+
 def _so3_log(R: np.ndarray) -> np.ndarray:
-    """Matrix logarithm on SO(3), robust at both angle extremes."""
-    c = max(-1.0, min(1.0, (float(np.trace(R)) - 1.0) / 2.0))
-    theta = float(np.arccos(c))
+    """Matrix logarithm on SO(3), accurate for every rotation angle."""
+    axis = _so3_vee(R - R.T)             # 2 sin(theta) n
+    c = (float(np.trace(R)) - 1.0) / 2.0
+    theta = float(np.arctan2(0.5 * np.linalg.norm(axis), c))
     if theta < 1e-8:
         return 0.5 * (R - R.T)
-    if abs(np.pi - theta) < 1e-6:
-        # R = exp(pi * K(n)): extract the axis from (R + I) / 2 = n n^T
-        B = 0.5 * (R + np.eye(3))
-        k = int(np.argmax(np.diag(B)))
-        n = B[:, k] / np.sqrt(max(B[k, k], 1e-300))
-        n = n / np.linalg.norm(n)
-        W = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
-        return theta * W
-    return theta / (2.0 * np.sin(theta)) * (R - R.T)
+    if theta <= np.pi / 2:
+        return theta / (2.0 * np.sin(theta)) * (R - R.T)
+    # (R + R^T)/2 - cos(theta) I = (1 - cos(theta)) n n^T gives n up to sign,
+    # with no loss of accuracy as theta approaches pi
+    B = 0.5 * (R + R.T) - c * np.eye(3)
+    k = int(np.argmax(np.diag(B)))
+    n = B[:, k] / np.linalg.norm(B[:, k])
+    return theta * _so3_hat(n if n @ axis >= 0 else -n)
 
 
 def _skew_exp(xi: np.ndarray) -> np.ndarray:
@@ -206,7 +204,7 @@ def _beta_matrix(L: LieAlgebra, gm: np.ndarray, z: np.ndarray, frame) -> np.ndar
     B = np.zeros((k, k))
     for a in range(k):
         for b in range(a + 1, k):
-            w = np.array(bracket_float(L, frame[a], frame[b]))
+            w = np.array(L.bracket(frame[a].tolist(), frame[b].tolist()))
             B[a, b] = -float(z @ gm @ w)
             B[b, a] = -B[a, b]
     return B
@@ -253,12 +251,9 @@ def construct_case1(D: MetricDecomposition, purely: bool = True,
     """Adapted coframe for dim n' = 1; returns the seven 1-forms."""
     eps = resolve_tolerance(tol)
     L = D.L
-    _gf, gm = _float_metric(D.g)
-    z = np.array([float(x) for x in D.nprime[0]])
-    z = z / np.sqrt(float(z @ gm @ z))
-    frame6 = _gram_schmidt(D.complement, gm)
-    if len(frame6) != 6:
-        raise DegenerateError("complement frame collapsed")
+    gf, gm = _float_metric(D.g)
+    z = _orthonormal(D.nprime, gf)[0]
+    frame6 = _orthonormal(D.complement, gf)
     B = _beta_matrix(L, gm, z, frame6)
     blocks, kernel = _skew_blocks(B, eps)
     amps = [a for (_v, _w, a) in blocks]
@@ -293,10 +288,8 @@ def construct_case1(D: MetricDecomposition, purely: bool = True,
 # cases 2 and 3
 
 
-def _oriented_plane_frame(D: MetricDecomposition, gm: np.ndarray, orientation: str):
-    frame = _gram_schmidt(D.rtilde, gm)
-    if len(frame) != 4:
-        raise DegenerateError("canonical 4-plane frame collapsed")
+def _oriented_plane_frame(D: MetricDecomposition, g: Metric, orientation: str):
+    frame = _orthonormal(D.rtilde, g)
     if orientation == "-":
         frame[0] = -frame[0]
     return frame
@@ -328,13 +321,13 @@ def construct_case2(D: MetricDecomposition, report: CriterionReport | None = Non
         if not report.exists:
             raise DegenerateError("the metric fails the purely coclosed criterion")
         orientation = report.orientation or "+"
-    frame4 = _oriented_plane_frame(D, gm, orientation)
-    zs = _gram_schmidt(D.nprime, gm)
-    # the remaining r-direction orthogonal to the 4-plane
-    rest = _gram_schmidt(list(D.rtilde) + list(D.complement), gm)
-    if len(rest) != 5:
+    frame4 = _oriented_plane_frame(D, gf, orientation)
+    zs = _orthonormal(D.nprime, gf)
+    # the remaining r-direction: the orthocomplement of the 4-plane inside r
+    rest = _orthocomplement_float(D.rtilde, gf, inside=D.complement)
+    if len(rest) != 1:
         raise DegenerateError("complement frame collapsed")
-    x = rest[4]
+    x = _orthonormal(rest, gf)[0]
     Y = _sd_coords(L, gm, zs, frame4, _SIGMA)
     rho = float(np.linalg.norm(Y[0]))
     scale = 1.0 + float(np.max(np.abs(Y)))
@@ -381,8 +374,8 @@ def construct_case3(D: MetricDecomposition, report: CriterionReport | None = Non
         if not report.exists:
             raise DegenerateError("the metric fails the purely coclosed criterion")
         orientation = report.orientation or "+"
-    frame4 = _oriented_plane_frame(D, gm, orientation)
-    zs = _gram_schmidt(D.nprime, gm)
+    frame4 = _oriented_plane_frame(D, gf, orientation)
+    zs = _orthonormal(D.nprime, gf)
     Y = _sd_coords(L, gm, zs, frame4, _SIGMA)
     M0 = np.sqrt(2.0) * Y.T      # M_mj = <sigma_m, d z_j-flat>
     if purely:

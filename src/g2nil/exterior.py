@@ -22,7 +22,7 @@ from itertools import combinations
 from math import sqrt as _fsqrt
 from numbers import Real
 
-from ._linalg import Mat, frac, mat, mat_det, mat_inv, rational_root, rational_sqrt
+from ._linalg import Mat, mat, mat_det, mat_inv, rational_root, rational_sqrt
 
 MAX_DIM = 10
 
@@ -249,25 +249,12 @@ class KForm:
         degree = self.degree + other.degree
         if degree > self.dim:
             return KForm.zero(self.dim, min(degree, self.dim), self.mode)
-        a, b = self._terms, other._terms
-        if len(a) > len(b):
-            acc: dict[int, object] = {}
-            for mb, cb in b.items():
-                for ma, ca in a.items():
-                    if ma & mb:
-                        continue
-                    s = _merge_sign(ma, mb)
+        acc: dict[int, object] = {}
+        for ma, ca in self._terms.items():
+            for mb, cb in other._terms.items():
+                if not ma & mb:
                     m = ma | mb
-                    acc[m] = acc.get(m, 0) + s * ca * cb
-        else:
-            acc = {}
-            for ma, ca in a.items():
-                for mb, cb in b.items():
-                    if ma & mb:
-                        continue
-                    s = _merge_sign(ma, mb)
-                    m = ma | mb
-                    acc[m] = acc.get(m, 0) + s * ca * cb
+                    acc[m] = acc.get(m, 0) + _merge_sign(ma, mb) * ca * cb
         return KForm(self.dim, degree, acc, self.mode)
 
     def interior(self, vector) -> "KForm":
@@ -361,49 +348,11 @@ def interior(vector, form: KForm) -> KForm:
 # -- metric-dependent operations ---------------------------------------------
 
 
-def _as_exact_matrix(g) -> Mat:
+def _matrix_for(g, mode: Mode) -> Mat:
+    """g with entries in the mode's scalar type (Fraction or float)."""
+    if mode is Mode.FLOAT:
+        return tuple(tuple(float(x) for x in row) for row in g)
     return g if isinstance(g, tuple) and g and isinstance(g[0], tuple) else mat(g)
-
-
-def _float_matrix(g) -> list[list[float]]:
-    return [[float(x) for x in row] for row in g]
-
-
-def _float_det(m: list[list[float]]) -> float:
-    n = len(m)
-    a = [row[:] for row in m]
-    det = 1.0
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if abs(a[pivot][col]) == 0.0:
-            return 0.0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1.0 / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
-
-
-def _float_inv(m: list[list[float]]) -> list[list[float]]:
-    n = len(m)
-    aug = [row[:] + [1.0 if i == j else 0.0 for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(aug[r][col]))
-        if abs(aug[pivot][col]) == 0.0:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1.0 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 class MetricContext:
@@ -417,40 +366,23 @@ class MetricContext:
 
     def __init__(self, g, mode: Mode):
         self.mode = mode
-        if mode is Mode.EXACT:
-            gm = _as_exact_matrix(g)
-        else:
-            gm = _float_matrix(g)
+        gm = _matrix_for(g, mode)
         self.dim = n = len(gm)
-        diag_input = all(gm[i][j] == 0 for i in range(n) for j in range(n) if i != j)
-        if diag_input:
-            det = 1 if mode is Mode.EXACT else 1.0
+        self._diag = all(gm[i][j] == 0 for i in range(n) for j in range(n) if i != j)
+        if self._diag:
+            self.det_g = 1
             for i in range(n):
-                det *= gm[i][i]
-            if det == 0:
-                raise DegenerateError("metric is singular")
-            self.det_g = det
+                self.det_g *= gm[i][i]
+        else:
+            self.det_g = mat_det(gm)
+        if self.det_g == 0:
+            raise DegenerateError("metric is singular")
+        if self._diag:
             self.gram_inv = tuple(
                 tuple((1 / gm[i][i]) if i == j else gm[i][j] for j in range(n))
                 for i in range(n))
-            self._diag = True
-            return
-        if mode is Mode.EXACT:
-            self.det_g = mat_det(gm)
-            if self.det_g == 0:
-                raise DegenerateError("metric is singular")
-            self.gram_inv = mat_inv(gm)
         else:
-            self.det_g = _float_det(gm)
-            if self.det_g == 0.0:
-                raise DegenerateError("metric is singular")
-            self.gram_inv = _float_inv(gm)
-        self._diag = all(
-            self.gram_inv[i][j] == 0
-            for i in range(self.dim)
-            for j in range(self.dim)
-            if i != j
-        )
+            self.gram_inv = mat_inv(gm)
 
     def sqrt_det(self):
         if self.mode is Mode.EXACT:
@@ -468,24 +400,19 @@ class MetricContext:
         G = self.gram_inv
         if self._diag:
             if rows != cols:
-                return 0 if self.mode is Mode.EXACT else 0.0
-            prod = 1 if self.mode is Mode.EXACT else 1.0
+                return 0 * G[0][0]
+            prod = 1
             for i in rows:
                 prod *= G[i - 1][i - 1]
             return prod
         k = len(rows)
-        if k == 0:
-            return 1 if self.mode is Mode.EXACT else 1.0
         if k == 1:
             return G[rows[0] - 1][cols[0] - 1]
         if k == 2:
             a, b = rows[0] - 1, rows[1] - 1
             c, d = cols[0] - 1, cols[1] - 1
             return G[a][c] * G[b][d] - G[a][d] * G[b][c]
-        sub = [[G[r - 1][c - 1] for c in cols] for r in rows]
-        if self.mode is Mode.EXACT:
-            return mat_det(tuple(tuple(row) for row in sub))
-        return _float_det(sub)
+        return mat_det(tuple(tuple(G[r - 1][c - 1] for c in cols) for r in rows))
 
 
 def metric_context(g, mode: Mode) -> MetricContext:

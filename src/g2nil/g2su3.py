@@ -25,8 +25,8 @@ from math import lcm
 from typing import Sequence
 
 from ._linalg import mat, mat_det, rational_root
-from .exterior import (DegenerateError, ExactnessError, KForm, Mode, _float_det,
-                       _merge_sign, close, hodge, resolve_tolerance, top_wedge_coeff)
+from .exterior import (DegenerateError, ExactnessError, KForm, Mode, _merge_sign, close,
+                       hodge, resolve_tolerance, top_wedge_coeff)
 from .liealg import LieAlgebra, Metric
 
 __all__ = [
@@ -120,16 +120,14 @@ def induced_metric(phi: KForm) -> tuple[Metric, object]:
         raise ValueError("expected a 3-form in dimension 7")
     mode = phi.mode
     exact = mode is Mode.EXACT
-    # b = b6 / scale, with b6 integral in exact mode
-    if exact:
-        den = lcm(*(c.denominator for c in phi._terms.values()))
-        scale = 6 * den ** 3
-        b6 = _b_matrix({m: int(c * den) for m, c in phi._terms.items()})
-        det_b = mat_det(mat(b6)) / scale ** 7
-    else:
-        scale = 6.0
-        b6 = _b_matrix(phi._terms)
-        det_b = _float_det(b6) / scale ** 7
+    terms, den = phi._terms, 1
+    if exact:  # clear denominators, so b6 below is an integer matrix
+        den = lcm(*(c.denominator for c in terms.values()))
+        terms = {m: int(c * den) for m, c in terms.items()}
+    # b = b6 / scale
+    scale = 6 * den ** 3
+    b6 = _b_matrix(terms)
+    det_b = mat_det(mat(b6) if exact else b6) / scale ** 7
     if det_b == 0:
         raise DegenerateError("3-form is degenerate")
     if exact:

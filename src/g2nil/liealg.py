@@ -15,15 +15,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._linalg import (Mat, Vec, dot, frac, gram_schmidt_sq, mat, mat_det, mat_inv,
-                      mat_vec, nullspace, row_space_basis, transpose, vec)
+from ._linalg import (Mat, Vec, frac, gram_schmidt_sq, mat_det, mat_inv, mat_mul, mat_vec,
+                      nullspace, row_space_basis)
 from .exterior import (DegenerateError, KForm, MetricContext, Mode, ModeMismatchError,
-                       _float_det, resolve_tolerance)
+                       resolve_tolerance)
 
 __all__ = [
     "LieAlgebra", "Metric", "ce_diff", "jz_matrix", "ricci", "ricci_operator",
     "NilsolitonReport", "is_nilsoliton",
 ]
+
+_ZERO = Fraction(0)
 
 
 def _coeff_from_json(c):
@@ -44,6 +46,7 @@ class LieAlgebra:
         self.d_forms = tuple(d_forms)
         self._d_float = None
         self._brackets: dict[tuple[int, int], Vec] | None = None
+        self._brackets_float: dict[tuple[int, int], tuple[float, ...]] | None = None
         # metric-independent invariants, computed on first use
         self._derived: tuple[Vec, ...] | None = None
         self._center: tuple[Vec, ...] | None = None
@@ -112,8 +115,8 @@ class LieAlgebra:
                 out = out + (sign * c) * piece
         return out
 
-    def bracket_basis(self, a: int, b: int) -> Vec:
-        """[f_a, f_b] as a coefficient vector (a, b are 1-based)."""
+    def _bracket_table(self, floats: bool = False) -> dict[tuple[int, int], tuple]:
+        """[f_a, f_b] for all basis pairs, as exact (or float) coefficient vectors."""
         if self._brackets is None:
             n = self.dim
             table = {(i, i): (Fraction(0),) * n for i in range(1, n + 1)}
@@ -127,22 +130,40 @@ class LieAlgebra:
                     table[(i, j)] = tuple(v)
                     table[(j, i)] = tuple(-x for x in v)
             self._brackets = table
-        return self._brackets[(a, b)]
+        if not floats:
+            return self._brackets
+        if self._brackets_float is None:
+            self._brackets_float = {key: tuple(float(c) for c in w)
+                                    for key, w in self._brackets.items()}
+        return self._brackets_float
 
-    def bracket(self, x: Sequence, y: Sequence) -> Vec:
-        """[x, y] for vectors given by rational coefficient sequences."""
-        out = [Fraction(0)] * self.dim
-        xs = [(i + 1, frac(c)) for i, c in enumerate(x) if c != 0]
-        ys = [(j + 1, frac(c)) for j, c in enumerate(y) if c != 0]
+    def bracket_basis(self, a: int, b: int) -> Vec:
+        """[f_a, f_b] as a coefficient vector (a, b are 1-based)."""
+        return self._bracket_table()[(a, b)]
+
+    def bracket(self, x: Sequence, y: Sequence) -> tuple:
+        """[x, y] for vectors given by their coefficient sequences.
+
+        The first nonzero coefficient (of x, else of y, else x[0]) sets the
+        mode. If it is a float (numpy's float64 included), the result is a
+        vector of Python floats read off a float copy of the bracket table;
+        otherwise the result is exact, and `frac` rejects any later float.
+        """
+        xs = [(i, c) for i, c in enumerate(x, 1) if c]
+        ys = [(j, c) for j, c in enumerate(y, 1) if c]
+        floats = isinstance(xs[0][1] if xs else ys[0][1] if ys else x[0], float)
+        coerce, zero = (float, 0.0) if floats else (frac, _ZERO)
+        table = self._bracket_table(floats)
+        xs = [(i, coerce(c)) for i, c in xs]
+        ys = [(j, coerce(c)) for j, c in ys]
+        out = [zero] * self.dim
         for i, ci in xs:
             for j, cj in ys:
-                if i == j:
-                    continue
-                w = self.bracket_basis(i, j)
-                scale = ci * cj
-                for k in range(self.dim):
-                    if w[k]:
-                        out[k] += scale * w[k]
+                if i != j:
+                    scale = ci * cj
+                    for k, wk in enumerate(table[(i, j)]):
+                        if wk:
+                            out[k] += scale * wk
         return tuple(out)
 
     # -- distinguished subspaces ---------------------------------------------
@@ -198,10 +219,8 @@ class Metric:
         if mode is None:
             mode = Mode.FLOAT if _has_float(data) else Mode.EXACT
         self.mode = mode
-        if mode is Mode.EXACT:
-            self.rows: Mat = mat(data)
-        else:
-            self.rows = tuple(tuple(float(x) for x in row) for row in data)
+        self._scalar = frac if mode is Mode.EXACT else float
+        self.rows: Mat = tuple(tuple(map(self._scalar, row)) for row in data)
         self.dim = len(self.rows)
         if any(len(r) != self.dim for r in self.rows):
             raise ValueError("metric must be square")
@@ -209,7 +228,7 @@ class Metric:
             for j in range(i):
                 if self.rows[i][j] != self.rows[j][i]:
                     raise ValueError("metric must be symmetric")
-        self._zero = Fraction(0) if mode is Mode.EXACT else 0.0
+        self._zero = self._scalar(0)
         # (j, g_ij) for the nonzero entries of each row; the rows are immutable
         self._nonzero = tuple(tuple((j, gij) for j, gij in enumerate(row) if gij)
                               for row in self.rows)
@@ -217,9 +236,7 @@ class Metric:
 
     @classmethod
     def identity(cls, dim: int, mode: Mode = Mode.EXACT) -> "Metric":
-        if mode is Mode.EXACT:
-            return cls([[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)], mode)
-        return cls([[float(i == j) for j in range(dim)] for i in range(dim)], mode)
+        return cls([[int(i == j) for j in range(dim)] for i in range(dim)], mode)
 
     @classmethod
     def diagonal(cls, entries, mode: Mode | None = None) -> "Metric":
@@ -254,14 +271,16 @@ class Metric:
     def norm_sq(self, x: Sequence):
         return self.inner(x, x)
 
+    def as_vector(self, x: Sequence) -> tuple:
+        """x with entries in this metric's scalar type (Fraction or float)."""
+        return tuple(map(self._scalar, x))
+
     def is_positive_definite(self) -> bool:
         rows = self.rows
         if all(j == i for i, row in enumerate(self._nonzero) for j, _ in row):
             return all(rows[i][i] > 0 for i in range(self.dim))
         for k in range(1, self.dim + 1):
-            sub = tuple(tuple(rows[i][j] for j in range(k)) for i in range(k))
-            minor = mat_det(sub) if self.mode is Mode.EXACT else _float_det([list(r) for r in sub])
-            if not minor > 0:
+            if not mat_det(tuple(row[:k] for row in rows[:k])) > 0:
                 return False
         return True
 
@@ -291,28 +310,6 @@ def ce_diff(L: LieAlgebra, form: KForm) -> KForm:
     return L.ce_diff(form)
 
 
-def bracket_float(L: LieAlgebra, x: Sequence, y: Sequence) -> tuple[float, ...]:
-    """[x, y] with float coefficients (structure constants stay exact)."""
-    n = L.dim
-    out = [0.0] * n
-    for i in range(n):
-        xi = float(x[i])
-        if xi == 0.0:
-            continue
-        for j in range(n):
-            if i == j:
-                continue
-            yj = float(y[j])
-            if yj == 0.0:
-                continue
-            w = L.bracket_basis(i + 1, j + 1)
-            s = xi * yj
-            for k in range(n):
-                if w[k]:
-                    out[k] += s * float(w[k])
-    return tuple(out)
-
-
 def jz_matrix(L: LieAlgebra, g: Metric, z: Sequence, basis: Sequence[Sequence]) -> list[list]:
     """Matrix of the skew map j(z) on the span of `basis`.
 
@@ -320,25 +317,16 @@ def jz_matrix(L: LieAlgebra, g: Metric, z: Sequence, basis: Sequence[Sequence]) 
     with respect to `basis`, which must span a j(z)-invariant subspace.
     """
     m = len(basis)
-    if g.mode is Mode.EXACT:
-        z = vec(z)
-        bb = [vec(w) for w in basis]
-        gram = tuple(tuple(g.inner(u, w) for w in bb) for u in bb)
-        c = tuple(tuple(g.inner(z, L.bracket(bb[j], bb[i])) for j in range(m))
-                  for i in range(m))
-        return [list(row) for row in mat_mul_exact(mat_inv(gram), c)]
-    import numpy as np
-    bb = [[float(x) for x in w] for w in basis]
-    zf = [float(x) for x in z]
-    gram = np.array([[g.inner(u, w) for w in bb] for u in bb], dtype=float)
-    c = np.array([[g.inner(zf, bracket_float(L, bb[j], bb[i])) for j in range(m)]
-                  for i in range(m)], dtype=float)
-    return np.linalg.solve(gram, c).tolist()
+    z = g.as_vector(z)
+    bb = [g.as_vector(w) for w in basis]
+    gram = tuple(tuple(g.inner(u, w) for w in bb) for u in bb)
+    c = tuple(tuple(g.inner(z, L.bracket(bb[j], bb[i])) for j in range(m))
+              for i in range(m))
+    return [list(row) for row in mat_mul(mat_inv(gram), c)]
 
 
-def mat_mul_exact(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+def _unit_vectors(g: Metric) -> list[tuple]:
+    return [g.as_vector(int(i == k) for i in range(g.dim)) for k in range(g.dim)]
 
 
 def ricci(L: LieAlgebra, g: Metric):
@@ -351,75 +339,32 @@ def ricci(L: LieAlgebra, g: Metric):
     give an exact Ricci tensor (each u_i enters the sums quadratically).
     """
     n = L.dim
-    if g.mode is Mode.EXACT:
-        std = [tuple(Fraction(int(i == k)) for i in range(n)) for k in range(n)]
-        ortho, q = gram_schmidt_sq(std, g.inner)
-        half, quarter = Fraction(1, 2), Fraction(1, 4)
-        zero = Fraction(0)
-    else:
-        gf = g
-        std = [tuple(float(i == k) for i in range(n)) for k in range(n)]
-
-        def ipf(u, w):
-            return gf.inner(u, w)
-
-        ortho_f, qf = _float_gram_schmidt(std, ipf)
-        ortho, q = ortho_f, qf
-        half, quarter = 0.5, 0.25
-        zero = 0.0
-
-    exact = g.mode is Mode.EXACT
-
-    def brk(x, y):
-        return L.bracket(x, y) if exact else bracket_float(L, x, y)
-
-    basis = [tuple((Fraction(int(i == k)) if exact else float(i == k)) for i in range(n))
-             for k in range(n)]
-    bx = [[brk(basis[a], ortho[i]) for i in range(n)] for a in range(n)]
+    basis = _unit_vectors(g)
+    ortho, q = gram_schmidt_sq(basis, g.inner)
+    bx = [[L.bracket(basis[a], ortho[i]) for i in range(n)] for a in range(n)]
     bij = {}
     for i in range(n):
         for j in range(i + 1, n):
-            w = brk(ortho[i], ortho[j])
-            if any(c != 0 for c in w):
+            w = L.bracket(ortho[i], ortho[j])
+            if any(w):
                 bij[(i, j)] = w
 
     rows = []
     for a in range(n):
         row = []
         for b in range(n):
-            t1 = zero
-            for i in range(n):
-                t1 += g.inner(bx[a][i], bx[b][i]) / q[i]
-            t2 = zero
-            for (i, j), w in bij.items():
-                t2 += g.inner(w, basis[a]) * g.inner(w, basis[b]) / (q[i] * q[j])
-            row.append(-half * t1 + 2 * quarter * t2)
+            t1 = sum(g.inner(bx[a][i], bx[b][i]) / q[i] for i in range(n))
+            t2 = sum(g.inner(w, basis[a]) * g.inner(w, basis[b]) / (q[i] * q[j])
+                     for (i, j), w in bij.items())
+            # the sum over i < j counts each unordered pair once: 1/4 * 2 = 1/2
+            row.append((t2 - t1) / 2)
         rows.append(tuple(row))
     return tuple(rows)
 
 
-def _float_gram_schmidt(vectors, ip):
-    ortho, norms = [], []
-    for v in vectors:
-        w = [float(x) for x in v]
-        for u, q in zip(ortho, norms):
-            c = ip(w, u) / q
-            w = [x - c * y for x, y in zip(w, u)]
-        q = ip(w, w)
-        if q <= 0:
-            raise DegenerateError("metric is not positive definite")
-        ortho.append(tuple(w))
-        norms.append(q)
-    return ortho, norms
-
-
 def ricci_operator(L: LieAlgebra, g: Metric):
     """Ricci endomorphism Rc = g^{-1} Ric, as a matrix acting on coordinates."""
-    ric = ricci(L, g)
-    if g.mode is Mode.EXACT:
-        return mat_mul_exact(mat_inv(g.rows), ric)
-    import numpy as np
-    return np.linalg.solve(np.array(g.rows, dtype=float), np.array(ric, dtype=float)).tolist()
+    return mat_mul(mat_inv(g.rows), ricci(L, g))
 
 
 @dataclass
@@ -446,27 +391,15 @@ def is_nilsoliton(L: LieAlgebra, g: Metric, tol: float | None = None) -> Nilsoli
     K(x,y) = Rc[x,y] - [Rc x, y] - [x, Rc y]; lam is found by least squares
     and the residual must vanish (exactly, or within the tolerance).
     """
-    n = L.dim
     rc = ricci_operator(L, g)
-    exact = g.mode is Mode.EXACT
-
-    def apply_rc(x):
-        if exact:
-            return mat_vec(rc, x)
-        return tuple(sum(float(rc[i][j]) * float(x[j]) for j in range(n)) for i in range(n))
-
-    def brk(x, y):
-        return L.bracket(x, y) if exact else bracket_float(L, x, y)
-
-    basis = [tuple((Fraction(int(i == k)) if exact else float(i == k)) for i in range(n))
-             for k in range(n)]
+    basis = _unit_vectors(g)
     pairs = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            B = brk(basis[a], basis[b])
+    for a, x in enumerate(basis):
+        for y in basis[a + 1:]:
+            B = L.bracket(x, y)
             K_vec = tuple(
-                x - y - z for x, y, z in zip(
-                    apply_rc(B), brk(apply_rc(basis[a]), basis[b]), brk(basis[a], apply_rc(basis[b]))))
+                u - v - w for u, v, w in zip(
+                    mat_vec(rc, B), L.bracket(mat_vec(rc, x), y), L.bracket(x, mat_vec(rc, y))))
             pairs.append((K_vec, B))
 
     denom = sum(g.inner(B, B) for _, B in pairs)
@@ -475,7 +408,7 @@ def is_nilsoliton(L: LieAlgebra, g: Metric, tol: float | None = None) -> Nilsoli
     num = sum(g.inner(K, B) for K, B in pairs)
     lam = -num / denom
 
-    if exact:
+    if g.mode is Mode.EXACT:
         ok = all(all(k + lam * b == 0 for k, b in zip(K, B)) for K, B in pairs)
         return NilsolitonReport(ok, lam, 0.0 if ok else 1.0, Mode.EXACT)
     scale = 1.0 + max(max(abs(float(x)) for x in K) if K else 0.0 for K, _ in pairs) \

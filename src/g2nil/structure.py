@@ -27,14 +27,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._linalg import dot, gram_schmidt_sq, nullspace, rational_sqrt, vec
+from ._linalg import dot, gram_schmidt_sq, nullspace, rational_sqrt
 from .exterior import (DegenerateError, ExactnessError, G2nilError, KForm, Mode,
                        close, form_inner, resolve_tolerance)
-from .liealg import LieAlgebra, Metric, bracket_float, jz_matrix
+from .liealg import LieAlgebra, Metric, jz_matrix
 
 __all__ = [
     "UnsupportedAlgebraError", "MetricDecomposition", "decompose",
-    "CriterionReport", "case1_exists", "case2_exists", "case3_exists",
+    "CriterionReport", "case1_exists", "selfdual_exists",
     "coclosed_exists", "purely_coclosed_exists", "coclosed_always",
     "symmetrize_M", "m_matrix", "sd_basis_forms",
 ]
@@ -182,19 +182,11 @@ def case1_exists(D: MetricDecomposition, tol: float | None = None) -> CriterionR
     J = jz_matrix(D.L, D.g, z, D.complement)
     m = len(J)
     # A = -J; traces of even powers are insensitive to the sign
-    if D.mode is Mode.EXACT:
-        J2 = [[sum(J[i][k] * J[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
-        tr2 = sum(J2[i][i] for i in range(m))
-        tr4 = sum(sum(J2[i][k] * J2[k][i] for k in range(m)) for i in range(m))
-        lhs, rhs = tr2 * tr2, 4 * tr4
-        exists = lhs == rhs
-    else:
-        import numpy as np
-        A2 = np.array(J) @ np.array(J)
-        tr2 = float(np.trace(A2))
-        tr4 = float(np.trace(A2 @ A2))
-        lhs, rhs = tr2 * tr2, 4.0 * tr4
-        exists = close(lhs, rhs, tol)
+    J2 = [[sum(J[i][k] * J[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
+    tr2 = sum(J2[i][i] for i in range(m))
+    tr4 = sum(sum(J2[i][k] * J2[k][i] for k in range(m)) for i in range(m))
+    lhs, rhs = tr2 * tr2, 4 * tr4
+    exists = lhs == rhs if D.mode is Mode.EXACT else close(lhs, rhs, tol)
     witness = {"z": [str(c) for c in z]} if exists else None
     return CriterionReport(1, "purely", exists, None, witness,
                            {"lhs": lhs, "rhs": rhs,
@@ -215,40 +207,19 @@ def _beta_coords(D: MetricDecomposition):
     (or float, following the metric mode). beta_i(x, y) = -g(z_i, [x, y]).
     """
     L, g = D.L, D.g
-    exact = D.mode is Mode.EXACT
-    if exact:
-        zs, p = gram_schmidt_sq([vec(v) for v in D.nprime], g.inner)
-        ws, q = gram_schmidt_sq([vec(v) for v in D.rtilde], g.inner)
-    else:
-        from .liealg import _float_gram_schmidt
-        zs, p = _float_gram_schmidt([[float(x) for x in v] for v in D.nprime], g.inner)
-        ws, q = _float_gram_schmidt([[float(x) for x in v] for v in D.rtilde], g.inner)
+    zs, p = gram_schmidt_sq([g.as_vector(v) for v in D.nprime], g.inner)
+    ws, q = gram_schmidt_sq([g.as_vector(v) for v in D.rtilde], g.inner)
     k = len(zs)
-    brk = (L.bracket if exact else (lambda x, y: bracket_float(L, x, y)))
     # beta_i(w_a, w_b) for a < b
     pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-    B = []
-    for z in zs:
-        row = {}
-        for (a, b) in pairs:
-            row[(a, b)] = -g.inner(z, brk(ws[a], ws[b]))
-        B.append(row)
-    zero = Fraction(0) if exact else 0.0
-    K = [[zero] * k for _ in range(k)]
-    W = [[zero] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            acc = zero
-            for (a, b) in pairs:
-                acc += B[i][(a, b)] * B[j][(a, b)] / (q[a] * q[b])
-            K[i][j] = acc
-            # (beta_i ∧ beta_j)(w1, w2, w3, w4) over the six (2,2)-shuffles
-            W[i][j] = (B[i][(0, 1)] * B[j][(2, 3)]
-                       - B[i][(0, 2)] * B[j][(1, 3)]
-                       + B[i][(0, 3)] * B[j][(1, 2)]
-                       + B[j][(0, 1)] * B[i][(2, 3)]
-                       - B[j][(0, 2)] * B[i][(1, 3)]
-                       + B[j][(0, 3)] * B[i][(1, 2)])
+    B = [{(a, b): -g.inner(z, L.bracket(ws[a], ws[b])) for (a, b) in pairs} for z in zs]
+    K = [[sum(B[i][ab] * B[j][ab] / (q[ab[0]] * q[ab[1]]) for ab in pairs) for j in range(k)]
+         for i in range(k)]
+    # (beta_i ∧ beta_j)(w1, w2, w3, w4) over the six (2,2)-shuffles
+    W = [[B[i][(0, 1)] * B[j][(2, 3)] - B[i][(0, 2)] * B[j][(1, 3)]
+          + B[i][(0, 3)] * B[j][(1, 2)] + B[j][(0, 1)] * B[i][(2, 3)]
+          - B[j][(0, 2)] * B[i][(1, 3)] + B[j][(0, 3)] * B[i][(1, 2)]
+          for j in range(k)] for i in range(k)]
     Q = q[0] * q[1] * q[2] * q[3]
     return p, K, W, Q
 
@@ -359,11 +330,13 @@ def sd_gram(D: MetricDecomposition, orientation: int = 1):
 # cases 2 and 3
 
 
-def case2_exists(D: MetricDecomposition, tol: float | None = None) -> CriterionReport:
-    """Purely coclosed existence for dim n' = 2."""
-    if D.derived_dim != 2:
-        raise UnsupportedAlgebraError("case 2 requires a 2-dimensional derived algebra")
-    if D.abelian_dim == 0:
+def selfdual_exists(D: MetricDecomposition, tol: float | None = None) -> CriterionReport:
+    """Purely coclosed existence for dim n' in {2, 3}: tr^2(S) = 2 tr(S^2)."""
+    case = D.derived_dim
+    if case not in (2, 3):
+        raise UnsupportedAlgebraError(
+            "the self-dual criterion requires a 2- or 3-dimensional derived algebra")
+    if case == 2 and D.abelian_dim == 0:
         return CriterionReport(2, "purely", False, None, None,
                                {"lhs": None, "rhs": None, "abelian_dim": 0,
                                 "reason": "no coclosed structures: center equals "
@@ -374,21 +347,7 @@ def case2_exists(D: MetricDecomposition, tol: float | None = None) -> CriterionR
     else:
         exists, orient, pairs = _trace_identity_float(p, K, W, Q, 2, tol)
     witness = _plane_witness(D, orient) if exists else None
-    return CriterionReport(2, "purely", exists, orient, witness,
-                           _identity_diagnostics(orient, pairs), D.mode)
-
-
-def case3_exists(D: MetricDecomposition, tol: float | None = None) -> CriterionReport:
-    """Purely coclosed existence for dim n' = 3."""
-    if D.derived_dim != 3:
-        raise UnsupportedAlgebraError("case 3 requires a 3-dimensional derived algebra")
-    p, K, W, Q = _beta_coords(D)
-    if D.mode is Mode.EXACT:
-        exists, orient, pairs = _trace_identity_exact(p, K, W, Q, 2)
-    else:
-        exists, orient, pairs = _trace_identity_float(p, K, W, Q, 2, tol)
-    witness = _plane_witness(D, orient) if exists else None
-    return CriterionReport(3, "purely", exists, orient, witness,
+    return CriterionReport(case, "purely", exists, orient, witness,
                            _identity_diagnostics(orient, pairs), D.mode)
 
 
@@ -397,9 +356,7 @@ def purely_coclosed_exists(L: LieAlgebra, g: Metric,
     D = decompose(L, g)
     if D.derived_dim == 1:
         return case1_exists(D, tol)
-    if D.derived_dim == 2:
-        return case2_exists(D, tol)
-    return case3_exists(D, tol)
+    return selfdual_exists(D, tol)
 
 
 def coclosed_exists(L: LieAlgebra, g: Metric, tol: float | None = None) -> CriterionReport:

@@ -25,11 +25,11 @@ from g2nil.g2su3 import G2Structure, phi_standard, starphi_standard, torsion_cla
 from g2nil.liealg import LieAlgebra, Metric, is_nilsoliton, jz_matrix
 from g2nil.structure import (
     case1_exists,
-    case3_exists,
     decompose,
     m_matrix,
     purely_coclosed_exists,
     sd_gram,
+    selfdual_exists,
     symmetrize_M,
 )
 
@@ -121,7 +121,7 @@ def test_c02_obstruction_fixtures_match_pinned_matrices_exactly():
         got_minus = frac_matrix(sd_gram(D, -1))
         assert got_plus == frac_matrix(sp) == frac_matrix(fx["s_plus"]), name
         assert got_minus == frac_matrix(sm) == frac_matrix(fx["s_minus"]), name
-        rep = case3_exists(D)
+        rep = selfdual_exists(D)
         assert not rep.exists, name
         assert tuple(rep.diagnostics["plus"]) == plus, name
         assert tuple(rep.diagnostics["minus"]) == minus, name

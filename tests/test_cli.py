@@ -11,6 +11,7 @@ import pytest
 from g2nil import catalog, cli
 
 FIXTURES = catalog.fixture_dir()
+REGRESS_GOLDEN = pathlib.Path(__file__).parent / "data" / "regress.txt"
 
 
 def run_cli(capsys, *argv):
@@ -173,6 +174,28 @@ def test_degenerate_coframe_exits_3(capsys):
     assert "degenerate" in err
 
 
+def test_float_structure_constant_exits_2(capsys):
+    tmp = pathlib.Path(tempfile.mkdtemp())
+    alg = tmp / "floaty.json"
+    alg.write_text(json.dumps({
+        "name": "floaty", "dim": 7,
+        "d": [[], [], [], [], [], [], [{"idx": [1, 2], "c": 0.5}]]}))
+    code, out, err = run_cli(capsys, "exists", alg, "--metric", "identity")
+    assert code == 2 and not out
+    assert err.startswith("error:") and "exact rationals" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf"])
+def test_bad_tolerance_exits_2(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["exists", "h7", "--metric", "identity", f"--tolerance={value}"])
+    assert exc.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err
+    code, _, _ = run_cli(capsys, "exists", "h7", "--metric", "identity", "--tolerance", "0")
+    assert code == 0
+
+
 def test_unsupported_algebra_exits_4(capsys):
     tmp = pathlib.Path(tempfile.mkdtemp())
     alg = tmp / "threestep.json"
@@ -199,6 +222,13 @@ def test_regress_full_and_filtered(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["failed"] == 0 and payload["total"] > 0
+
+
+def test_regress_text_output_matches_golden_file(capsys):
+    """The full regression table is pinned byte for byte (127 rows)."""
+    code, out, err = run_cli(capsys, "regress")
+    assert code == 0 and not err
+    assert out == REGRESS_GOLDEN.read_text()
 
 
 def test_regress_failure_exits_1(capsys, monkeypatch):

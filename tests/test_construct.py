@@ -5,10 +5,12 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from g2nil import catalog
-from g2nil.construct import construct, construct_coclosed
+from g2nil.construct import (_lift_so3_to_so4, _skew_exp, _so3_hat, _so3_log, construct,
+                             construct_coclosed)
 from g2nil.exterior import DegenerateError
 from g2nil.g2su3 import G2Structure, torsion_class
 from g2nil.liealg import LieAlgebra, Metric
@@ -142,3 +144,15 @@ def test_case3_random_diagonal_metrics():
 def test_construct_kind_validation():
     with pytest.raises(ValueError):
         construct(H7, Metric.identity(7), kind="bogus")
+
+
+@pytest.mark.parametrize("gap", [1e-2, 2.4e-4, 1e-7, 0.0])
+def test_so3_log_and_lift_near_angle_pi(gap):
+    """Rotations by pi - gap: exp(log R) = R to 1e-12, and the self-dual lift
+    passes its own 1e-9 calibration check."""
+    rng = np.random.default_rng(SEED)
+    for _ in range(10):
+        n = rng.normal(size=3)
+        R = _skew_exp((np.pi - gap) * _so3_hat(n / np.linalg.norm(n)))
+        assert np.max(np.abs(_skew_exp(_so3_log(R)) - R)) < 1e-12
+        _lift_so3_to_so4(R)

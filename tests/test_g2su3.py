@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from g2nil.exterior import KForm, Mode, forms_close, top_wedge_coeff, wedge
+from g2nil.exterior import (DegenerateError, ExactnessError, KForm, Mode, forms_close,
+                            top_wedge_coeff, wedge)
 from g2nil.g2su3 import (
     G2Structure,
     calibrates,
@@ -29,16 +30,18 @@ def rand_frac(rng, lo=-2, hi=2, den=3):
     return Fraction(rng.randint(lo * den, hi * den), den)
 
 
-def rand_coframe(rng):
-    while True:
+def rand_coframe(rng, draws=50):
+    """A random invertible rational coframe; fails after `draws` rejected draws."""
+    for _ in range(draws):
         A = [[rand_frac(rng) for _ in range(7)] for _ in range(7)]
+        cof = [KForm.from_terms(7, 1, {(j + 1,): A[i][j] for j in range(7) if A[i][j]})
+               for i in range(7)]
         try:
-            cof = [KForm.from_terms(7, 1, {(j + 1,): A[i][j] for j in range(7) if A[i][j]})
-                   for i in range(7)]
             G2Structure.from_coframe(cof)  # probes invertibility
             return A, cof
-        except Exception:
+        except (DegenerateError, ExactnessError):
             continue
+    raise AssertionError(f"no invertible coframe in {draws} random draws")
 
 
 def _mat_inv(rows):

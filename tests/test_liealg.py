@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,6 @@ from g2nil.exterior import KForm, Mode, ModeMismatchError, forms_close
 from g2nil.liealg import (
     LieAlgebra,
     Metric,
-    bracket_float,
     ce_diff,
     is_nilsoliton,
     jz_matrix,
@@ -89,8 +89,14 @@ def test_bracket_bilinear_and_matches_float():
         y = [rand_frac(rng) for _ in range(7)]
         b = L.bracket(x, y)
         assert L.bracket(y, x) == tuple(-v for v in b)
-        bf = bracket_float(L, [float(v) for v in x], [float(v) for v in y])
+        bf = L.bracket([float(v) for v in x], [float(v) for v in y])
+        assert all(type(v) is float for v in bf)
         assert max(abs(float(u) - v) for u, v in zip(b, bf)) < 1e-12
+        bn = L.bracket(np.array(x, dtype=float), np.array(y, dtype=float))
+        assert bn == bf and all(type(v) is float for v in bn)
+        assert all(type(v) is float for v in L.bracket([0.0] * 7, [0.0] * 7))
+        with pytest.raises(TypeError):
+            L.bracket([Fraction(1)] + [0.5] * 6, y)
 
 
 def test_d_squared_zero_on_random_two_step():

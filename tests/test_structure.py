@@ -15,8 +15,6 @@ from g2nil.liealg import LieAlgebra, Metric
 from g2nil.structure import (
     UnsupportedAlgebraError,
     case1_exists,
-    case2_exists,
-    case3_exists,
     coclosed_always,
     coclosed_exists,
     decompose,
@@ -24,6 +22,7 @@ from g2nil.structure import (
     purely_coclosed_exists,
     sd_basis_forms,
     sd_gram,
+    selfdual_exists,
     symmetrize_M,
 )
 
@@ -94,9 +93,10 @@ def test_unsupported_algebras_raise():
     with pytest.raises(UnsupportedAlgebraError):
         case1_exists(decompose(H3C_R, Metric.identity(7)))
     with pytest.raises(UnsupportedAlgebraError):
-        case2_exists(decompose(H7, Metric.identity(7)))
-    with pytest.raises(UnsupportedAlgebraError):
-        case3_exists(decompose(H3C_R, Metric.identity(7)))
+        selfdual_exists(decompose(H7, Metric.identity(7)))
+    # one self-dual criterion serves dim n' = 2 and dim n' = 3
+    assert selfdual_exists(decompose(H3C_R, Metric.identity(7))).case == 2
+    assert selfdual_exists(decompose(N6_3_R, Metric.identity(7))).case == 3
 
 
 def test_case1_heis7_harmonic_mean_criterion():
@@ -169,13 +169,13 @@ def test_case3_obstruction_pins():
     for orient in (1, -1):
         S = sd_gram(D, orient)
         assert S == [[half, 0, 0], [0, half, 0], [0, 0, half]]
-    rep = case3_exists(D)
+    rep = selfdual_exists(D)
     assert not rep.exists
     assert rep.diagnostics["plus"] == [Fraction(9, 4), Fraction(3, 2)]
     assert rep.diagnostics["minus"] == [Fraction(9, 4), Fraction(3, 2)]
 
     D1 = decompose(N7_3_D1, Metric.diagonal([4, 1, 1, 1, 1, 1, 1]))
-    rep1 = case3_exists(D1)
+    rep1 = selfdual_exists(D1)
     assert not rep1.exists
     assert rep1.diagnostics["plus"] == [Fraction(9, 64), Fraction(3, 32)]
     assert rep1.diagnostics["minus"] == [Fraction(729, 64), Fraction(243, 32)]
