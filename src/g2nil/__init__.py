@@ -25,6 +25,7 @@ from .exterior import (
     KForm,
     Mode,
     ModeMismatchError,
+    ToleranceError,
     close,
     form_inner,
     forms_close,
@@ -90,7 +91,7 @@ __all__ = [
     "__version__",
     # exterior
     "DegenerateError", "ExactnessError", "G2nilError", "KForm", "Mode",
-    "ModeMismatchError", "close", "form_inner", "forms_close", "hodge",
+    "ModeMismatchError", "ToleranceError", "close", "form_inner", "forms_close", "hodge",
     "interior", "resolve_tolerance", "top_wedge_coeff", "volume_form", "wedge",
     # liealg
     "LieAlgebra", "Metric", "NilsolitonReport", "ce_diff", "is_nilsoliton",

@@ -1,13 +1,16 @@
 """Scalar-generic linear algebra for small matrices.
 
-Everything in this package lives in dimension <= 7, so plain Gaussian
-elimination is the right tool. Each routine follows the scalar type of its
-input: `fractions.Fraction` entries give exact results, `float` entries give
-float results. Only the exact coercions `frac`, `vec` and `mat` reject floats.
+Everything in this package lives in dimension <= 7, so plain expansion and
+elimination are the right tools. Each routine follows the scalar type of its
+input: Python ints stay in the integers, `fractions.Fraction` entries give
+exact results, `float` entries give float results. Only the exact coercions
+`frac`, `vec` and `mat` reject floats.
 
-Matrices are tuples of tuples; vectors are tuples. `mat_det` uses closed forms
-up to 3x3 (the covector-Gram minors of `hodge`) and pivots on the largest
-|entry| beyond that; `mat_inv` always pivots on the largest |entry|.
+Matrices are tuples of tuples; vectors are tuples. `MinorTable` caches the
+minors of one matrix, each a Laplace expansion over smaller cached minors;
+`mat_det` is its full minor, and `exterior.MetricContext` reads the
+complementary minors behind `hodge` from one. `mat_inv` pivots on the
+largest |entry|.
 
 `dot` and `mat_vec` skip zero factors: the vectors and matrices met here
 (basis vectors, diagonal metrics, structure constants) are mostly zeros, and
@@ -67,41 +70,54 @@ def dot(u: Sequence, v: Sequence):
     return total
 
 
-def _largest_pivot(rows: list[list], col: int) -> int | None:
-    """Row (from col on) of the largest |entry| in column col; None if all are zero."""
-    return max((r for r in range(col, len(rows)) if rows[r][col]),
-               key=lambda r: abs(rows[r][col]), default=None)
+class MinorTable:
+    """The minors det a[R, C] of one square matrix, filled lazily and kept.
+
+    R and C are equal-sized bitmasks of 0-based row and column indices. A
+    minor is the Laplace expansion along the lowest row r of R, the sum over
+    c in C of (-1)^(position of c in C) a[r][c] det a[R - r, C - c], skipping
+    zero entries and reading the smaller minors from the table. No division
+    happens: an integer matrix gives integer minors.
+    """
+
+    __slots__ = ("_rows", "_shift", "_table")
+
+    def __init__(self, a: Sequence[Sequence]):
+        self._rows = a
+        self._shift = len(a)
+        self._table: dict[int, object] = {0: 1}  # key rows << shift | cols
+
+    def __call__(self, rows: int, cols: int):
+        m = self._table.get(rows << self._shift | cols)
+        return self._expand(rows, cols) if m is None else m
+
+    def _expand(self, rows: int, cols: int):
+        table, shift = self._table, self._shift
+        low = rows & -rows
+        rest = rows ^ low
+        entries = self._rows[low.bit_length() - 1]
+        m = 0
+        odd = False
+        c = cols
+        while c:
+            bit = c & -c
+            x = entries[bit.bit_length() - 1]
+            if x:
+                sub = table.get(rest << shift | (cols ^ bit))
+                if sub is None:
+                    sub = self._expand(rest, cols ^ bit)
+                if sub:
+                    m = m - x * sub if odd else m + x * sub
+            odd = not odd
+            c ^= bit
+        table[rows << shift | cols] = m
+        return m
 
 
 def mat_det(a: Mat):
-    n = len(a)
-    if n == 0:
-        return 1
-    if n == 1:
-        return a[0][0]
-    if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    if n == 3:
-        return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-                - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-                + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
-    rows = [list(row) for row in a]
-    det = 1
-    for col in range(n):
-        pivot = _largest_pivot(rows, col)
-        if pivot is None:
-            return 0 * rows[col][col]
-        p = rows[pivot][col]
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= p
-        inv = 1 / p
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                factor = rows[r][col] * inv
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return det
+    """Determinant, as the full minor of a `MinorTable`."""
+    full = (1 << len(a)) - 1
+    return MinorTable(a)(full, full)
 
 
 def mat_inv(a: Mat) -> Mat:
@@ -109,7 +125,9 @@ def mat_inv(a: Mat) -> Mat:
     kind = type(a[0][0]) if a else Fraction
     aug = [list(row) + [kind(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
     for col in range(n):
-        pivot = _largest_pivot(aug, col)
+        # the largest |entry| in column col, from row col on
+        pivot = max((r for r in range(col, n) if aug[r][col]),
+                    key=lambda r: abs(aug[r][col]), default=None)
         if pivot is None:
             raise ZeroDivisionError("singular matrix")
         aug[col], aug[pivot] = aug[pivot], aug[col]

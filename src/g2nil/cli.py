@@ -4,7 +4,8 @@ regression replay and catalog export.
 Every command is a thin wrapper around the library; no mathematics lives in
 this module.  Exit codes: 0 success, 1 regression failure, 2 parse error
 (including a metric that is not a symmetric 7x7 matrix, an algebra file with
-float structure constants, and a negative or non-finite --tolerance),
+float structure constants, and a negative, non-finite or unparsable
+--tolerance or G2NIL_TOLERANCE),
 3 degenerate input (including a metric that is not positive definite),
 4 unsupported algebra.
 Metrics are validated here, once, rather than inside the library's hot path.
@@ -14,14 +15,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import catalog
 from .catalog import UnknownAlgebraError, parse_coefficient
-from .exterior import DegenerateError, ExactnessError, KForm, Mode, ModeMismatchError
+from .exterior import (DegenerateError, ExactnessError, KForm, Mode, ModeMismatchError,
+                       ToleranceError, parse_tolerance, resolve_tolerance)
 from .g2su3 import G2Structure, torsion_class
 from .construct import construct
 from .liealg import LieAlgebra, Metric
@@ -273,10 +274,10 @@ def _cmd_catalog(args) -> int:
 # --------------------------------------------------------------------------
 
 def _tolerance(text: str) -> float:
-    value = float(text)
-    if not 0 <= value < math.inf:  # also rejects NaN
-        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
-    return value
+    try:
+        return parse_tolerance(text)
+    except ToleranceError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -340,8 +341,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        resolve_tolerance(args.tolerance)  # validates G2NIL_TOLERANCE before any work
         return args.func(args)
-    except _CliParseError as exc:
+    except (_CliParseError, ToleranceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except UnsupportedAlgebraError as exc:

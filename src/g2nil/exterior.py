@@ -10,19 +10,21 @@ Two scalar modes are supported and never mixed:
 * FLOAT  — coefficients are float; comparisons use a relative tolerance.
 
 The vector-space metric enters only through `hodge`, `form_inner` and
-`volume_form`; it is given as the Gram matrix of the *vectors*, so covector
-inner products use its inverse.
+`volume_form`; it is given as the Gram matrix g of the *vectors*, so covector
+inner products are minors of g^{-1}, which `MetricContext` reads as
+complementary minors of g's integer matrix (Jacobi's theorem) without inverting g.
 """
 from __future__ import annotations
 
+import math
+import operator
 import os
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import sqrt as _fsqrt
 from numbers import Real
 
-from ._linalg import Mat, mat, mat_det, mat_inv, rational_root, rational_sqrt
+from ._linalg import MinorTable, frac, rational_root, rational_sqrt
 
 MAX_DIM = 10
 
@@ -46,18 +48,33 @@ class DegenerateError(G2nilError):
     """A coframe / 3-form / metric fails the required nondegeneracy."""
 
 
+class ToleranceError(G2nilError):
+    """A tolerance that is not a finite, non-negative number."""
+
+
 class Mode(Enum):
     EXACT = "exact"
     FLOAT = "float"
 
 
+def parse_tolerance(text) -> float:
+    """A tolerance as a float; raises ToleranceError unless finite and >= 0."""
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not 0 <= value < math.inf:  # also rejects NaN
+        raise ToleranceError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def resolve_tolerance(tol: float | None = None) -> float:
-    """Explicit argument > environment variable > package default."""
+    """Explicit argument > environment variable (via `parse_tolerance`) > default."""
     if tol is not None:
         return float(tol)
     env = os.environ.get(TOLERANCE_ENV)
     if env is not None:
-        return float(env)
+        return parse_tolerance(env)
     return DEFAULT_TOLERANCE
 
 
@@ -348,41 +365,50 @@ def interior(vector, form: KForm) -> KForm:
 # -- metric-dependent operations ---------------------------------------------
 
 
-def _matrix_for(g, mode: Mode) -> Mat:
-    """g with entries in the mode's scalar type (Fraction or float)."""
+def _cleared(values, mode: Mode) -> tuple[list, int]:
+    """(numerators, d) with values = numerators / d: ints over the lcm of the
+    denominators in exact mode, the values and d = 1 in float mode."""
     if mode is Mode.FLOAT:
-        return tuple(tuple(float(x) for x in row) for row in g)
-    return g if isinstance(g, tuple) and g and isinstance(g[0], tuple) else mat(g)
+        return values, 1
+    d = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def _index_sum_odd(mask: int) -> int:
+    """Parity of the sum of the 1-based indices in mask (bits 0, 2, 4, ... are odd)."""
+    return (mask & 0x155).bit_count() & 1
 
 
 class MetricContext:
-    """Precomputed covector Gram data for hodge/inner computations.
+    """Covector Gram data of one metric g, for hodge/inner computations.
 
-    Wraps the vector Gram matrix g; covector inner products use G = g^{-1}.
-    Exact contexts carry Fractions, float contexts plain floats.
+    Covector inner products are minors of G = g^{-1}, which is never formed.
+    With g = D / d (exact mode: D an integer matrix, d the lcm of g's
+    denominators; float mode: D = g, d = 1), Jacobi's complementary-minor
+    theorem gives, for 1-based index sets with |I| = |J| = k,
+
+        det G[I, J] = (-1)^(ΣI+ΣJ) * d^k * det D[J^c, I^c] / det D,
+
+    the d^k turning a k-minor of D^{-1} into one of g^{-1} = d * D^{-1}.
+    Every minor of D comes from one `MinorTable` (`_minors`).
     """
 
-    __slots__ = ("mode", "dim", "gram_inv", "det_g", "_diag")
+    __slots__ = ("mode", "dim", "det_g", "_diag", "_minors", "_d", "_det_d", "_div")
 
     def __init__(self, g, mode: Mode):
         self.mode = mode
-        gm = _matrix_for(g, mode)
-        self.dim = n = len(gm)
-        self._diag = all(gm[i][j] == 0 for i in range(n) for j in range(n) if i != j)
-        if self._diag:
-            self.det_g = 1
-            for i in range(n):
-                self.det_g *= gm[i][i]
-        else:
-            self.det_g = mat_det(gm)
-        if self.det_g == 0:
+        self.dim = n = len(g)
+        scalar = frac if mode is Mode.EXACT else float
+        entries, self._d = _cleared([scalar(x) for row in g for x in row], mode)
+        if len(entries) != n * n:
+            raise ValueError("metric must be square")
+        self._diag = not any(x for i, x in enumerate(entries) if i % (n + 1))
+        self._div = Fraction if mode is Mode.EXACT else operator.truediv
+        self._minors = MinorTable(tuple(entries[i * n:(i + 1) * n] for i in range(n)))
+        self._det_d = self._minors((1 << n) - 1, (1 << n) - 1)
+        if self._det_d == 0:
             raise DegenerateError("metric is singular")
-        if self._diag:
-            self.gram_inv = tuple(
-                tuple((1 / gm[i][i]) if i == j else gm[i][j] for j in range(n))
-                for i in range(n))
-        else:
-            self.gram_inv = mat_inv(gm)
+        self.det_g = self._div(self._det_d, self._d ** n)
 
     def sqrt_det(self):
         if self.mode is Mode.EXACT:
@@ -393,30 +419,17 @@ class MetricContext:
             return r
         if self.det_g < 0:
             raise DegenerateError("metric has negative determinant")
-        return _fsqrt(self.det_g)
+        return math.sqrt(self.det_g)
 
     def gram_minor(self, rows: tuple[int, ...], cols: tuple[int, ...]):
-        """det of the covector-Gram submatrix; rows/cols are 1-based."""
-        G = self.gram_inv
-        if self._diag:
-            if rows != cols:
-                return 0 * G[0][0]
-            prod = 1
-            for i in rows:
-                prod *= G[i - 1][i - 1]
-            return prod
-        k = len(rows)
-        if k == 1:
-            return G[rows[0] - 1][cols[0] - 1]
-        if k == 2:
-            a, b = rows[0] - 1, rows[1] - 1
-            c, d = cols[0] - 1, cols[1] - 1
-            return G[a][c] * G[b][d] - G[a][d] * G[b][c]
-        return mat_det(tuple(tuple(G[r - 1][c - 1] for c in cols) for r in rows))
+        """det of the covector-Gram submatrix G[rows, cols]; sorted 1-based indices."""
+        return self._gram_minor(_mask_from_indices(rows, self.dim)[0],
+                                _mask_from_indices(cols, self.dim)[0])
 
-
-def metric_context(g, mode: Mode) -> MetricContext:
-    return MetricContext(g, mode)
+    def _gram_minor(self, mi: int, mj: int):
+        full = (1 << self.dim) - 1
+        m = self._minors(full ^ mj, full ^ mi) * self._d ** mi.bit_count()
+        return self._div(-m if _index_sum_odd(mi ^ mj) else m, self._det_d)
 
 
 def form_inner(a: KForm, b: KForm, g, ctx: MetricContext | None = None):
@@ -428,11 +441,10 @@ def form_inner(a: KForm, b: KForm, g, ctx: MetricContext | None = None):
     ctx = ctx or MetricContext(g, a.mode)
     total = 0 if a.mode is Mode.EXACT else 0.0
     for ma, ca in a._terms.items():
-        ia = _indices_from_mask(ma)
         for mb, cb in b._terms.items():
             if ctx._diag and ma != mb:
                 continue
-            total += ca * cb * ctx.gram_minor(ia, _indices_from_mask(mb))
+            total += ca * cb * ctx._gram_minor(ma, mb)
     return total
 
 
@@ -442,6 +454,10 @@ def hodge(a: KForm, g, orientation: int = 1, ctx: MetricContext | None = None) -
     `orientation=+1` declares e^1 ∧ ... ∧ e^n positively oriented;
     `orientation=-1` flips the sign of the star on every degree.
     Exact mode raises ExactnessError when sqrt(det g) is irrational.
+
+    On a non-diagonal metric, each output coefficient sums a's numerators
+    times the minors det D[B^c, J] of `MetricContext` (integers in exact
+    mode) and then applies d^k / (den * det D), one division per coefficient.
     """
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
@@ -456,21 +472,25 @@ def hodge(a: KForm, g, orientation: int = 1, ctx: MetricContext | None = None) -
         # <e^K, a> collapses to a single term, so iterate over a directly.
         for mk, ck in a._terms.items():
             mj = full ^ mk
-            weight = ctx.gram_minor(_indices_from_mask(mk), _indices_from_mask(mk))
-            val = _merge_sign(mk, mj) * orientation * root * ck * weight
-            if val != 0:
-                acc[mj] = acc.get(mj, 0) + val
+            acc[mj] = _merge_sign(mk, mj) * orientation * root * ck * ctx._gram_minor(mk, mk)
     else:
-        for comb in combinations(range(1, n + 1), n - k):
-            mj, _ = _mask_from_indices(comb, n)
-            mk = full ^ mj
-            ik = _indices_from_mask(mk)
-            total = 0 if a.mode is Mode.EXACT else 0.0
-            for mb, cb in a._terms.items():
-                total += cb * ctx.gram_minor(ik, _indices_from_mask(mb))
-            val = _merge_sign(mk, mj) * orientation * root * total
-            if val != 0:
-                acc[mj] = acc.get(mj, 0) + val
+        nums, den = _cleared(a._terms.values(), a.mode)
+        # (B^c, (-1)^ΣB * numerator of a_B) for each term of a
+        signed = [(full ^ mb, -c if _index_sum_odd(mb) else c)
+                  for mb, c in zip(a._terms, nums)]
+        factor = orientation * root * ctx._div(ctx._d ** k, den * ctx._det_d)
+        minor = ctx._minors
+        for comb in combinations(range(n), n - k):
+            mj = sum(1 << i for i in comb)
+            total = 0
+            for rows, c in signed:
+                m = minor(rows, mj)
+                if m:
+                    total += c * m
+            if total:
+                mk = full ^ mj
+                sign = -_merge_sign(mk, mj) if _index_sum_odd(mk) else _merge_sign(mk, mj)
+                acc[mj] = sign * total * factor
     return KForm(n, n - k, acc, a.mode)
 
 

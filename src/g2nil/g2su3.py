@@ -21,12 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import lcm
 from typing import Sequence
 
-from ._linalg import mat, mat_det, rational_root
-from .exterior import (DegenerateError, ExactnessError, KForm, Mode, _merge_sign, close,
-                       hodge, resolve_tolerance, top_wedge_coeff)
+from ._linalg import mat_det, rational_root
+from .exterior import (DegenerateError, ExactnessError, KForm, Mode, _cleared, _merge_sign,
+                       close, hodge, resolve_tolerance, top_wedge_coeff)
 from .liealg import LieAlgebra, Metric
 
 __all__ = [
@@ -120,14 +119,13 @@ def induced_metric(phi: KForm) -> tuple[Metric, object]:
         raise ValueError("expected a 3-form in dimension 7")
     mode = phi.mode
     exact = mode is Mode.EXACT
-    terms, den = phi._terms, 1
-    if exact:  # clear denominators, so b6 below is an integer matrix
-        den = lcm(*(c.denominator for c in terms.values()))
-        terms = {m: int(c * den) for m, c in terms.items()}
+    # cleared denominators make b6 below an integer matrix in exact mode
+    nums, den = _cleared(phi._terms.values(), mode)
     # b = b6 / scale
     scale = 6 * den ** 3
-    b6 = _b_matrix(terms)
-    det_b = mat_det(mat(b6) if exact else b6) / scale ** 7
+    b6 = _b_matrix(dict(zip(phi._terms, nums)))
+    det_b6 = mat_det(b6)
+    det_b = Fraction(det_b6, scale ** 7) if exact else det_b6 / scale ** 7
     if det_b == 0:
         raise DegenerateError("3-form is degenerate")
     if exact:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._linalg import (Mat, Vec, frac, gram_schmidt_sq, mat_det, mat_inv, mat_mul, mat_vec,
-                      nullspace, row_space_basis)
+from ._linalg import (Mat, Vec, frac, gram_schmidt_sq, mat_inv, mat_mul, mat_vec, nullspace,
+                      row_space_basis)
 from .exterior import (DegenerateError, KForm, MetricContext, Mode, ModeMismatchError,
                        resolve_tolerance)
 
@@ -276,13 +276,14 @@ class Metric:
         return tuple(map(self._scalar, x))
 
     def is_positive_definite(self) -> bool:
-        rows = self.rows
-        if all(j == i for i, row in enumerate(self._nonzero) for j, _ in row):
-            return all(rows[i][i] > 0 for i in range(self.dim))
-        for k in range(1, self.dim + 1):
-            if not mat_det(tuple(row[:k] for row in rows[:k])) > 0:
-                return False
-        return True
+        """Sylvester's criterion on the trailing principal minors D[{k..n}, {k..n}],
+        which expanding det D left in the context's table (d > 0 keeps g's signs)."""
+        try:
+            minor = self.ctx._minors
+        except DegenerateError:
+            return False
+        full = (1 << self.dim) - 1
+        return all(minor(m, m) > 0 for m in (full >> k << k for k in range(self.dim)))
 
     def to_float(self) -> "Metric":
         if self.mode is Mode.FLOAT:

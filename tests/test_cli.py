@@ -196,6 +196,30 @@ def test_bad_tolerance_exits_2(capsys, value):
     assert code == 0
 
 
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_bad_tolerance_environment_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("G2NIL_TOLERANCE", value)
+    code, out, err = run_cli(capsys, "exists", "h7", "--metric", "r=1/2,s=1,t=1",
+                             "--mode", "float")
+    assert code == 2 and not out
+    assert err.startswith("error:") and "tolerance" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_tolerance_environment_is_honoured(capsys, monkeypatch):
+    def exists(metric):
+        code, out, _ = run_cli(capsys, "exists", "h7", "--metric", metric, "--mode", "float",
+                               "--format", "json")
+        assert code == 0
+        return json.loads(out)["exists"]
+
+    monkeypatch.setenv("G2NIL_TOLERANCE", "0")
+    assert exists("r=1/2,s=1,t=1")  # on the harmonic locus 1/r = 1/s + 1/t
+    assert not exists("r=5001/10000,s=1,t=1")  # 1e-4 off it
+    monkeypatch.setenv("G2NIL_TOLERANCE", "1e-3")
+    assert exists("r=5001/10000,s=1,t=1")
+
+
 def test_unsupported_algebra_exits_4(capsys):
     tmp = pathlib.Path(tempfile.mkdtemp())
     alg = tmp / "threestep.json"

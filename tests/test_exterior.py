@@ -4,11 +4,15 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2nil.exterior import (
     DegenerateError,
     KForm,
+    MetricContext,
     Mode,
     ModeMismatchError,
     close,
@@ -16,12 +20,12 @@ from g2nil.exterior import (
     forms_close,
     hodge,
     interior,
-    metric_context,
     nth_root_exact,
     top_wedge_coeff,
     volume_form,
     wedge,
 )
+from g2nil.liealg import Metric
 
 SEED = 20260818
 
@@ -184,7 +188,7 @@ def test_form_inner_symmetric_bilinear():
         b = rand_form(rng, 7, k)
         c = rand_form(rng, 7, k)
         s = rand_frac(rng)
-        ctx = metric_context(g, Mode.EXACT)
+        ctx = MetricContext(g, Mode.EXACT)
         assert form_inner(a, b, g, ctx) == form_inner(b, a, g, ctx)
         assert form_inner(a + c * s, b, g, ctx) == \
             form_inner(a, b, g, ctx) + s * form_inner(c, b, g, ctx)
@@ -204,7 +208,7 @@ def test_hodge_defining_property():
     rng = random.Random(SEED + 7)
     for _ in range(40):
         g = rand_spd_square(rng, 7)
-        ctx = metric_context(g, Mode.EXACT)
+        ctx = MetricContext(g, Mode.EXACT)
         vol = volume_form(g, Mode.EXACT, ctx=ctx)
         k = rng.randint(1, 3)
         a = rand_form(rng, 7, k)
@@ -282,3 +286,108 @@ def test_close_is_relative():
     assert close(1e12, 1e12 + 1.0, 1e-9)
     assert not close(1.0, 2.0, 1e-9)
     assert close(0.0, 0.0, 0.0)
+
+
+# -- the minor table against an oracle written here ---------------------------
+# `hodge` and `form_inner` both read the context's minor table, so the
+# defining-property test above cannot catch a wrong table. These tests check
+# the table against Gauss-Jordan inverses and determinants computed in this
+# file, and against numpy.
+
+
+def _gauss_jordan_inverse(rows):
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if aug[r][c])
+        aug[c], aug[piv] = aug[piv], aug[c]
+        p = aug[c][c]
+        aug[c] = [x / p for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [row[n:] for row in aug]
+
+
+SMALL_FRACTIONS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+NONZERO_FRACTIONS = SMALL_FRACTIONS.filter(bool)
+
+
+@st.composite
+def upper_triangular(draw, diagonal=NONZERO_FRACTIONS):
+    """An upper-triangular 7x7 rational matrix; invertible for a nonzero diagonal."""
+    return [[draw(diagonal) if i == j else draw(SMALL_FRACTIONS) if j > i else Fraction(0)
+             for j in range(7)] for i in range(7)]
+
+
+def _congruence(a, signs=(1,) * 7):
+    """A^T diag(signs) A; non-diagonal unless A's columns are orthogonal."""
+    return [[sum(signs[k] * a[k][i] * a[k][j] for k in range(7)) for j in range(7)]
+            for i in range(7)]
+
+
+def _is_diagonal(g):
+    return all(g[i][j] == 0 for i in range(7) for j in range(7) if i != j)
+
+
+def _index_sets(k):
+    return st.lists(st.integers(1, 7), min_size=k, max_size=k, unique=True).map(
+        lambda idx: tuple(sorted(idx)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(upper_triangular(), st.data())
+def test_gram_minor_and_hodge_match_an_independent_oracle(a, data):
+    g = _congruence(a)  # SPD, and det g = det(a)^2 has a rational square root
+    if _is_diagonal(g):
+        return
+    gf = [[float(x) for x in row] for row in g]
+    inv = _gauss_jordan_inverse(g)
+    inv_f = np.linalg.inv(np.array(gf))
+    exact, floated = MetricContext(g, Mode.EXACT), MetricContext(gf, Mode.FLOAT)
+    # 1e-10 up to condition number 1e4, then in proportion: roundoff in any
+    # float inversion grows with cond(g), which reaches 1e7 for these draws
+    tol = 1e-10 * max(1.0, np.linalg.cond(np.array(gf)) / 1e4)
+    for k in range(8):
+        rows_, cols = data.draw(_index_sets(k)), data.draw(_index_sets(k))
+        assert exact.gram_minor(rows_, cols) == _det(
+            [[inv[i - 1][j - 1] for j in cols] for i in rows_])
+        ref = np.linalg.det(inv_f[np.ix_([i - 1 for i in rows_], [j - 1 for j in cols])])
+        got = floated.gram_minor(rows_, cols)
+        assert type(got) is float
+        # relative to the size of a k-minor of g^{-1}, as a cancelling minor can be ~0
+        assert abs(got - ref) <= tol * max(abs(ref), np.max(np.abs(inv_f)) ** k)
+        form = KForm.from_terms(7, k, {idx: data.draw(SMALL_FRACTIONS)
+                                       for idx in data.draw(st.lists(_index_sets(k)))})
+        star = hodge(form, g, ctx=exact).to_float()
+        assert forms_close(hodge(form.to_float(), gf, ctx=floated), star, tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(upper_triangular(), st.integers(0, 6), upper_triangular(SMALL_FRACTIONS))
+def test_is_positive_definite_on_spd_indefinite_and_singular_metrics(a, neg, b):
+    spd = _congruence(a)
+    indefinite = _congruence(a, tuple(-1 if i == neg else 1 for i in range(7)))
+    singular = _congruence(b)  # A^T A is singular when b has a zero on its diagonal
+    if not _is_diagonal(spd):
+        assert Metric(spd).is_positive_definite()
+        assert not Metric(indefinite).is_positive_definite()
+    if not _is_diagonal(singular):
+        assert Metric(singular).is_positive_definite() == all(b[i][i] for i in range(7))
+
+
+def test_is_positive_definite_with_a_zero_leading_entry():
+    # g[0][0] = 0: expanding det D along row 0 skips column 0, so the trailing
+    # principal minors come from the table on demand, not from the expansion
+    shear = [[Fraction(int(i == j)) for j in range(7)] for i in range(7)]
+    shear[2][3] = shear[3][2] = Fraction(1, 2)
+    nonsingular = [row[:] for row in shear]
+    nonsingular[0][0], nonsingular[0][1], nonsingular[1][0] = 0, 1, 1
+    singular = [row[:] for row in shear]
+    singular[0][0] = 0
+    for rows in (nonsingular, singular):
+        for g in (Metric(rows), Metric(rows).to_float()):
+            assert not g.is_positive_definite()
+    assert Metric(shear).is_positive_definite()
