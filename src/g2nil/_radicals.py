@@ -83,6 +83,8 @@ class Surd:
             raise ValueError(f"cannot add sqrt({self.rad}) and sqrt({other.rad}) exactly")
         return Surd(self.coef + other.coef, self.rad)
 
+    __radd__ = __add__
+
     def __neg__(self):
         return Surd(-self.coef, self.rad)
 

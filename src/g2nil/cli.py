@@ -7,7 +7,8 @@ this module.  Exit codes: 0 success, 1 regression failure, 2 parse error
 float structure constants, and a negative, non-finite or unparsable
 --tolerance or G2NIL_TOLERANCE),
 3 degenerate input (including a metric that is not positive definite),
-4 unsupported algebra.
+4 unsupported algebra, 141 (128 + SIGPIPE, as shells report it) standard
+output closed by its reader before all output was written.
 Metrics are validated here, once, rather than inside the library's hot path.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -37,6 +39,7 @@ EXIT_REGRESSION = 1
 EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
 EXIT_UNSUPPORTED = 4
+EXIT_BROKEN_PIPE = 141
 
 
 class _CliParseError(Exception):
@@ -196,12 +199,6 @@ def _emit(payload: dict, fmt: str) -> None:
             print(f"{key}: {value}")
 
 
-def _metric_rows_json(g: Metric):
-    if g.mode is Mode.EXACT:
-        return [[str(x) for x in row] for row in g.rows]
-    return [[float(x) for x in row] for row in g.rows]
-
-
 # --------------------------------------------------------------------------
 # commands
 # --------------------------------------------------------------------------
@@ -214,7 +211,7 @@ def _cmd_verify(args) -> int:
     struct = G2Structure.from_coframe(coframe)
     report = torsion_class(L, struct, args.tolerance)
     payload = report.to_json()
-    payload["induced_metric"] = _metric_rows_json(struct.metric)
+    payload["induced_metric"] = struct.metric.to_json()["g"]
     _emit(payload, args.format)
     return EXIT_OK
 
@@ -342,7 +339,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         resolve_tolerance(args.tolerance)  # validates G2NIL_TOLERANCE before any work
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone; send what is still buffered to /dev/null so the
+        # interpreter's final flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (_CliParseError, ToleranceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -9,6 +9,10 @@ Two scalar modes are supported and never mixed:
 * EXACT  — coefficients are int / Fraction; comparisons are literal equality.
 * FLOAT  — coefficients are float; comparisons use a relative tolerance.
 
+Every verdict in the package goes through one of two rules defined here:
+`Mode.equal` for two scalars and `KForm.is_zero` for a form. Exact mode never
+reads a tolerance; float mode applies `close`, |lhs - rhs| <= tol * scale.
+
 The vector-space metric enters only through `hodge`, `form_inner` and
 `volume_form`; it is given as the Gram matrix g of the *vectors*, so covector
 inner products are minors of g^{-1}, which `MetricContext` reads as
@@ -56,6 +60,12 @@ class Mode(Enum):
     EXACT = "exact"
     FLOAT = "float"
 
+    def equal(self, lhs, rhs, tol: float | None = None, scale: float | None = None) -> bool:
+        """The verdict rule: lhs == rhs in exact mode, `close` in float mode."""
+        if self is Mode.EXACT:
+            return lhs == rhs
+        return close(lhs, rhs, tol, scale)
+
 
 def parse_tolerance(text) -> float:
     """A tolerance as a float; raises ToleranceError unless finite and >= 0."""
@@ -69,19 +79,22 @@ def parse_tolerance(text) -> float:
 
 
 def resolve_tolerance(tol: float | None = None) -> float:
-    """Explicit argument > environment variable (via `parse_tolerance`) > default."""
+    """Explicit argument > environment variable > default; the first two are
+    checked by `parse_tolerance`."""
     if tol is not None:
-        return float(tol)
+        return parse_tolerance(tol)
     env = os.environ.get(TOLERANCE_ENV)
     if env is not None:
         return parse_tolerance(env)
     return DEFAULT_TOLERANCE
 
 
-def close(lhs: float, rhs: float, tol: float | None = None) -> bool:
-    """Relative comparison |lhs - rhs| <= tol * (1 + |lhs| + |rhs|)."""
-    eps = resolve_tolerance(tol)
-    return abs(lhs - rhs) <= eps * (1.0 + abs(lhs) + abs(rhs))
+def close(lhs: float, rhs: float, tol: float | None = None,
+          scale: float | None = None) -> bool:
+    """|lhs - rhs| <= tol * scale, the scale defaulting to 1 + |lhs| + |rhs|."""
+    if scale is None:
+        scale = 1.0 + abs(lhs) + abs(rhs)
+    return abs(lhs - rhs) <= resolve_tolerance(tol) * scale
 
 
 def _check_exact_scalar(c):
@@ -200,10 +213,11 @@ class KForm:
     def max_abs(self) -> float:
         return max((abs(float(c)) for c in self._terms.values()), default=0.0)
 
-    def is_zero(self, tol: float | None = None) -> bool:
+    def is_zero(self, tol: float | None = None, scale: float = 1.0) -> bool:
+        """No terms in exact mode; max |coefficient| <= tol * scale in float mode."""
         if self.mode is Mode.EXACT:
             return not self._terms
-        return self.max_abs() <= resolve_tolerance(tol)
+        return close(self.max_abs(), 0.0, tol, scale)
 
     def __bool__(self):
         return bool(self._terms)
@@ -506,13 +520,9 @@ def forms_close(a: KForm, b: KForm, tol: float | None = None) -> bool:
     """Coefficient-wise comparison, relative to the larger form's scale."""
     if a.dim != b.dim or a.degree != b.degree:
         return False
-    if a.mode is Mode.EXACT and b.mode is Mode.EXACT:
-        return a == b
-    af, bf = a.to_float(), b.to_float()
-    eps = resolve_tolerance(tol)
-    scale = max(af.max_abs(), bf.max_abs(), 1.0)
-    diff = af - bf
-    return diff.max_abs() <= eps * scale
+    if a.mode is not b.mode:
+        a, b = a.to_float(), b.to_float()
+    return (a - b).is_zero(tol, max(a.max_abs(), b.max_abs(), 1.0))
 
 
 def nth_root_exact(x: Fraction, n: int) -> Fraction:

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from ._linalg import mat_det, rational_root
 from .exterior import (DegenerateError, ExactnessError, KForm, Mode, _cleared, _merge_sign,
-                       close, hodge, resolve_tolerance, top_wedge_coeff)
+                       hodge, top_wedge_coeff)
 from .liealg import LieAlgebra, Metric
 
 __all__ = [
@@ -209,34 +209,23 @@ def torsion_class(L: LieAlgebra, phi: KForm | G2Structure,
     """Coclosedness, scalar torsion and pure-coclosedness of a G2-structure."""
     struct = phi if isinstance(phi, G2Structure) else G2Structure.from_phi(phi)
     phi_form = struct.phi
-    exact = struct.mode is Mode.EXACT
-    eps = resolve_tolerance(tol)
 
     d_star = L.ce_diff(struct.starphi)
     scale_star = max(struct.starphi.max_abs(), 1.0)
     res_co = d_star.max_abs() / scale_star
-    coclosed = (not d_star) if exact else res_co <= eps
+    coclosed = d_star.is_zero(tol, scale_star)
 
     dphi = L.ce_diff(phi_form)
     c = top_wedge_coeff(dphi, phi_form)
     # tau0 = (1/7) * *(dphi ∧ phi); *(e^{1..7}) = 1/vol
-    tau0 = (Fraction(c) / (7 * struct.volume)) if exact else c / (7.0 * struct.volume)
+    tau0 = (Fraction(c) / (7 * struct.volume)) if struct.mode is Mode.EXACT \
+        else c / (7.0 * struct.volume)
     scale_tau = max(dphi.max_abs() * phi_form.max_abs(), 1.0)
     res_tau = abs(float(c)) / scale_tau
-    tau0_zero = (tau0 == 0) if exact else res_tau <= eps
-    purely = coclosed and tau0_zero
+    purely = coclosed and struct.mode.equal(c, 0, tol, scale_tau)
 
     derived = L.derived_basis()
-    calib = None
-    if len(derived) == 3:
-        w = struct.starphi
-        for z in derived:
-            zz = z if exact else tuple(float(x) for x in z)
-            w = w.interior(zz)
-        if exact:
-            calib = not w
-        else:
-            calib = w.max_abs() <= eps * max(struct.starphi.max_abs(), 1.0)
+    calib = calibrates(struct, derived, tol) if len(derived) == 3 else None
     return TorsionReport(coclosed, tau0, purely, calib, float(res_co), float(res_tau),
                          struct.mode)
 
@@ -259,14 +248,10 @@ def su3_reduce(phi: KForm | G2Structure, z: Sequence, tol: float | None = None) 
     so psi_minus = -(z ⌟ *phi).
     """
     struct = phi if isinstance(phi, G2Structure) else G2Structure.from_phi(phi)
-    exact = struct.mode is Mode.EXACT
     zz = tuple(z)
     norm_sq = struct.metric.norm_sq(zz)
-    if exact:
-        if norm_sq != 1:
-            raise ValueError(f"z must be a unit vector, |z|^2 = {norm_sq}")
-    elif not close(float(norm_sq), 1.0, tol):
-        raise ValueError(f"z must be a unit vector, |z|^2 = {float(norm_sq)}")
+    if not struct.mode.equal(norm_sq, 1, tol):
+        raise ValueError(f"z must be a unit vector, |z|^2 = {norm_sq}")
     flat_coeffs = [sum(struct.metric.rows[i][j] * zz[j] for j in range(7)) for i in range(7)]
     z_flat = KForm.from_terms(7, 1, {(i + 1,): c for i, c in enumerate(flat_coeffs) if c != 0},
                               struct.mode)
@@ -280,11 +265,8 @@ def is_half_flat(L: LieAlgebra, s: SU3Structure, tol: float | None = None) -> bo
     """d(omega) ∧ omega = 0 and d(psi_minus) = 0."""
     dw_w = L.ce_diff(s.omega).wedge(s.omega)
     dpsi = L.ce_diff(s.psi_minus)
-    if s.mode is Mode.EXACT:
-        return (not dw_w) and (not dpsi)
-    eps = resolve_tolerance(tol)
     scale = max(s.omega.max_abs() ** 2, s.psi_minus.max_abs(), 1.0)
-    return dw_w.max_abs() <= eps * scale and dpsi.max_abs() <= eps * scale
+    return dw_w.is_zero(tol, scale) and dpsi.is_zero(tol, scale)
 
 
 def is_special_half_flat(L: LieAlgebra, s: SU3Structure, tol: float | None = None) -> bool:
@@ -292,10 +274,7 @@ def is_special_half_flat(L: LieAlgebra, s: SU3Structure, tol: float | None = Non
     if not is_half_flat(L, s, tol):
         return False
     dw_psi = L.ce_diff(s.omega).wedge(s.psi_plus)
-    if s.mode is Mode.EXACT:
-        return not dw_psi
-    eps = resolve_tolerance(tol)
-    return dw_psi.max_abs() <= eps * max(s.omega.max_abs() * s.psi_plus.max_abs(), 1.0)
+    return dw_psi.is_zero(tol, max(s.omega.max_abs() * s.psi_plus.max_abs(), 1.0))
 
 
 def calibrates(phi: KForm | G2Structure, subspace: Sequence[Sequence],
@@ -308,15 +287,9 @@ def calibrates(phi: KForm | G2Structure, subspace: Sequence[Sequence],
     if len(subspace) != 3:
         raise ValueError("calibration test requires a 3-dimensional subspace")
     struct = phi if isinstance(phi, G2Structure) else G2Structure.from_phi(phi)
-    exact = struct.mode is Mode.EXACT
     w = struct.starphi
+    scale = max(w.max_abs(), 1.0)
     for z in subspace:
-        zz = tuple(z) if exact else tuple(float(x) for x in z)
-        w = w.interior(zz)
-    if exact:
-        return not w
-    eps = resolve_tolerance(tol)
-    scale = max(struct.starphi.max_abs(), 1.0)
-    for z in subspace:
+        w = w.interior(struct.metric.as_vector(z))
         scale *= max(max(abs(float(x)) for x in z), 1.0)
-    return w.max_abs() <= eps * scale
+    return w.is_zero(tol, scale)

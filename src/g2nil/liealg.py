@@ -17,8 +17,7 @@ from typing import Sequence
 
 from ._linalg import (Mat, Vec, frac, gram_schmidt_sq, mat_inv, mat_mul, mat_vec, nullspace,
                       row_space_basis)
-from .exterior import (DegenerateError, KForm, MetricContext, Mode, ModeMismatchError,
-                       resolve_tolerance)
+from .exterior import DegenerateError, KForm, MetricContext, Mode, ModeMismatchError
 
 __all__ = [
     "LieAlgebra", "Metric", "ce_diff", "jz_matrix", "ricci", "ricci_operator",
@@ -409,14 +408,9 @@ def is_nilsoliton(L: LieAlgebra, g: Metric, tol: float | None = None) -> Nilsoli
     num = sum(g.inner(K, B) for K, B in pairs)
     lam = -num / denom
 
-    if g.mode is Mode.EXACT:
-        ok = all(all(k + lam * b == 0 for k, b in zip(K, B)) for K, B in pairs)
-        return NilsolitonReport(ok, lam, 0.0 if ok else 1.0, Mode.EXACT)
-    scale = 1.0 + max(max(abs(float(x)) for x in K) if K else 0.0 for K, _ in pairs) \
-        + max(max(abs(float(x)) for x in B) if B else 0.0 for _, B in pairs)
-    worst = 0.0
-    for K, B in pairs:
-        for k, b in zip(K, B):
-            worst = max(worst, abs(float(k) + lam * float(b)))
-    eps = resolve_tolerance(tol)
-    return NilsolitonReport(worst <= eps * scale, lam, worst, Mode.FLOAT)
+    # zero entries cannot raise a maximum, and most entries are zero
+    worst = max((abs(k + lam * b) for K, B in pairs for k, b in zip(K, B) if k or b),
+                default=0.0)
+    scale = 1.0 + max((abs(float(x)) for K, _ in pairs for x in K if x), default=0.0) \
+        + max((abs(float(x)) for _, B in pairs for x in B if x), default=0.0)
+    return NilsolitonReport(g.mode.equal(worst, 0, tol, scale), lam, float(worst), g.mode)

@@ -16,18 +16,27 @@ Criteria, by dim n':
 * 3 — coclosed always; purely coclosed iff tr^2(S) = 2 tr(S^2) for the 3x3
   self-dual Gram matrix S, for one of the two orientations.
 
-In exact mode every trace above has the form x + y*sqrt(T) with x, y, T
-rational, so the criteria are decided with zero tolerance: when sqrt(T) is
-irrational both components must vanish separately (which also makes the
-verdict orientation independent).
+The self-dual identity is evaluated entry by entry in both modes: with
+T = 1/Q, each x = K ± W*sqrt(T) gives tr S = sum x_ii / (2 p_i) and
+tr S^2 = sum x_ij x_ji / (4 p_i p_j), where sqrt(T) is a Fraction or a float.
+Entry by entry matters in float mode: when S± ≈ 0 the cancellation happens
+in each x_ij, so tr^2 S and 2 tr S^2 come out near 1e-32, while summing them
+first into x + y*sqrt(T) leaves rounding noise near 1e-15 from the separate
+parts. Only an exact metric with irrational sqrt(T) is decided on components:
+tr S = A ± B sqrt(T) and tr S^2 = C ± E sqrt(T) with A, B, C, E rational, and
+the identity holds iff A^2 + B^2 T = 2C and AB = E (so the verdict does not
+depend on the orientation). Every comparison goes through `Mode.equal`: zero
+tolerance in exact mode.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from ._linalg import dot, gram_schmidt_sq, nullspace, rational_sqrt
+from ._radicals import Surd
 from .exterior import (DegenerateError, ExactnessError, G2nilError, KForm, Mode,
                        close, form_inner, resolve_tolerance)
 from .liealg import LieAlgebra, Metric, jz_matrix
@@ -186,7 +195,7 @@ def case1_exists(D: MetricDecomposition, tol: float | None = None) -> CriterionR
     tr2 = sum(J2[i][i] for i in range(m))
     tr4 = sum(sum(J2[i][k] * J2[k][i] for k in range(m)) for i in range(m))
     lhs, rhs = tr2 * tr2, 4 * tr4
-    exists = lhs == rhs if D.mode is Mode.EXACT else close(lhs, rhs, tol)
+    exists = D.mode.equal(lhs, rhs, tol)
     witness = {"z": [str(c) for c in z]} if exists else None
     return CriterionReport(1, "purely", exists, None, witness,
                            {"lhs": lhs, "rhs": rhs,
@@ -224,55 +233,55 @@ def _beta_coords(D: MetricDecomposition):
     return p, K, W, Q
 
 
-def _trace_identity_exact(p, K, W, Q, factor: int):
-    """Evaluate tr^2(S) ?= factor * tr(S^2) exactly for both orientations.
+# square roots in each mode's scalar type: `_SQRT` keeps exact roots symbolic
+# for `sd_gram`; `_ROOT` gives None for an irrational exact root, found without
+# factoring (`Surd.sqrt` factors the radicand by trial division)
+_SQRT = {Mode.EXACT: Surd.sqrt, Mode.FLOAT: math.sqrt}
+_ROOT = {Mode.EXACT: rational_sqrt, Mode.FLOAT: math.sqrt}
 
-    S_or = (K_ij + or * W_ij / sqrt(Q)) / (2 sqrt(p_i p_j)). Returns
+
+def _x_matrix(K, W, root, s: int):
+    """x = K + s * W * sqrt(T), entry by entry: x_ij = 2 sqrt(p_i p_j) S_ij."""
+    return [[a + s * b * root for a, b in zip(ka, wa)] for ka, wa in zip(K, W)]
+
+
+def _trace(p, x):
+    """tr S = sum_i x_ii / (2 p_i)."""
+    return sum(x[i][i] / (2 * p[i]) for i in range(len(p)))
+
+
+def _trace_pair(p, x, y):
+    """tr(S_x S_y) = sum_ij x_ij y_ji / (4 p_i p_j)."""
+    k = len(p)
+    return sum(x[i][j] * y[j][i] / (4 * p[i] * p[j]) for i in range(k) for j in range(k))
+
+
+def _trace_identity(p, K, W, Q, mode: Mode, tol):
+    """Evaluate tr^2(S) ?= 2 tr(S^2) for both orientations.
+
+    S_or = (K + or * W * sqrt(T)) / (2 sqrt(p_i p_j)) with T = 1/Q. Returns
     (exists, orientation, pairs) with pairs mapping "+"/"-" to a (lhs, rhs)
-    tuple: Fractions when sqrt(Q) is rational, floats otherwise.
+    tuple: Fractions when sqrt(T) is rational, floats otherwise.
     """
-    k = len(p)
-    A = sum(Fraction(K[i][i]) / (2 * p[i]) for i in range(k))
-    Bc = sum(Fraction(W[i][i]) / (2 * p[i]) for i in range(k))
-    T = Fraction(1, 1) / Q
-    C = sum((Fraction(K[i][j]) ** 2 + Fraction(W[i][j]) ** 2 * T) / (4 * p[i] * p[j])
-            for i in range(k) for j in range(k))
-    Dd = sum(Fraction(K[i][j]) * W[i][j] / (2 * p[i] * p[j])
-             for i in range(k) for j in range(k))
-    t0 = rational_sqrt(T)
-    if t0 is not None:
-        pairs, verdicts = {}, {}
-        for orient, s in (("+", 1), ("-", -1)):
-            tr = A + s * Bc * t0
-            tr_sq = C + s * Dd * t0
-            pairs[orient] = (tr * tr, factor * tr_sq)
-            verdicts[orient] = tr * tr == factor * tr_sq
-        orient = "+" if verdicts["+"] else ("-" if verdicts["-"] else None)
-        return orient is not None, orient, pairs
-    # irrational sqrt: rational and radical components must vanish separately,
-    # so the verdict is orientation independent (conjugation swaps S_+ and S_-)
-    ok = (A * A + Bc * Bc * T == factor * C) and (2 * A * Bc == factor * Dd)
-    tf = float(T) ** 0.5
-    pairs = {}
-    for orient, s in (("+", 1), ("-", -1)):
-        lhs = (float(A) + s * float(Bc) * tf) ** 2
-        rhs = factor * (float(C) + s * float(Dd) * tf)
-        pairs[orient] = (lhs, rhs)
-    return ok, ("+" if ok else None), pairs
-
-
-def _trace_identity_float(p, K, W, Q, factor: int, tol):
-    from math import sqrt
-    k = len(p)
-    rq = sqrt(Q)
+    T = 1 / Q
+    root = _ROOT[mode](T)
+    irrational = root is None
+    if irrational:
+        root = math.sqrt(T)
     pairs, verdicts = {}, {}
     for orient, s in (("+", 1), ("-", -1)):
-        S = [[(K[i][j] + s * W[i][j] / rq) / (2.0 * sqrt(p[i] * p[j]))
-              for j in range(k)] for i in range(k)]
-        tr = sum(S[i][i] for i in range(k))
-        tr_sq = sum(S[i][j] * S[j][i] for i in range(k) for j in range(k))
-        pairs[orient] = (tr * tr, factor * tr_sq)
-        verdicts[orient] = close(tr * tr, factor * tr_sq, tol)
+        x = _x_matrix(K, W, root, s)
+        tr = _trace(p, x)
+        pairs[orient] = lhs, rhs = tr * tr, 2 * _trace_pair(p, x, x)
+        verdicts[orient] = not irrational and mode.equal(lhs, rhs, tol)
+    if irrational:
+        # tr S = A + s B sqrt(T) and tr S^2 = C + s E sqrt(T): the rational and
+        # radical parts must vanish separately, so the verdict is orientation
+        # independent (conjugation swaps S_+ and S_-)
+        A, B = _trace(p, K), _trace(p, W)
+        C = _trace_pair(p, K, K) + T * _trace_pair(p, W, W)
+        E = 2 * _trace_pair(p, K, W)
+        verdicts["+"] = A * A + B * B * T == 2 * C and A * B == E
     orient = "+" if verdicts["+"] else ("-" if verdicts["-"] else None)
     return orient is not None, orient, pairs
 
@@ -302,28 +311,15 @@ def sd_gram(D: MetricDecomposition, orientation: int = 1):
     if not D.rtilde:
         raise DegenerateError("no canonical 4-plane (abelian part is trivial)")
     p, K, W, Q = _beta_coords(D)
-    k = len(p)
-    if D.mode is Mode.FLOAT:
-        from math import sqrt
-        rq = sqrt(Q)
-        return [[(K[i][j] + orientation * W[i][j] / rq)
-                 / (2.0 * sqrt(p[i] * p[j])) for j in range(k)] for i in range(k)]
-    from ._radicals import Surd
-    inv_rq = Surd.sqrt(Fraction(1, 1) / Q)
-    out = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            try:
-                num = Surd(Fraction(K[i][j])) + orientation * (Fraction(W[i][j]) * inv_rq)
-                entry = num * Surd.sqrt(Fraction(1, 4) / (p[i] * p[j]))
-            except ValueError as exc:
-                raise ExactnessError(
-                    f"S[{i}][{j}] mixes incompatible radicals; "
-                    "use a float metric for this Gram matrix") from exc
-            row.append(entry.as_fraction() if entry.is_rational else entry)
-        out.append(row)
-    return out
+    sqrt = _SQRT[D.mode]
+    try:
+        x = _x_matrix(K, W, sqrt(1 / Q), orientation)
+    except ValueError as exc:
+        raise ExactnessError("S mixes incompatible radicals; "
+                             "use a float metric for this Gram matrix") from exc
+    S = [[x[i][j] * sqrt(1 / (4 * p[i] * p[j])) for j in range(len(p))]
+         for i in range(len(p))]
+    return [[v.coef if isinstance(v, Surd) and v.is_rational else v for v in row] for row in S]
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +337,7 @@ def selfdual_exists(D: MetricDecomposition, tol: float | None = None) -> Criteri
                                {"lhs": None, "rhs": None, "abelian_dim": 0,
                                 "reason": "no coclosed structures: center equals "
                                           "the derived algebra"}, D.mode)
-    p, K, W, Q = _beta_coords(D)
-    if D.mode is Mode.EXACT:
-        exists, orient, pairs = _trace_identity_exact(p, K, W, Q, 2)
-    else:
-        exists, orient, pairs = _trace_identity_float(p, K, W, Q, 2, tol)
+    exists, orient, pairs = _trace_identity(*_beta_coords(D), D.mode, tol)
     witness = _plane_witness(D, orient) if exists else None
     return CriterionReport(case, "purely", exists, orient, witness,
                            _identity_diagnostics(orient, pairs), D.mode)

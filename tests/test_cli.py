@@ -1,6 +1,7 @@
 """The g2nil command line: subcommands, exit codes, formats, determinism."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -12,6 +13,13 @@ from g2nil import catalog, cli
 
 FIXTURES = catalog.fixture_dir()
 REGRESS_GOLDEN = pathlib.Path(__file__).parent / "data" / "regress.txt"
+
+
+def child_env() -> dict:
+    """Environment for a child interpreter that imports the g2nil under test."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 def run_cli(capsys, *argv):
@@ -267,9 +275,21 @@ def test_regress_failure_exits_1(capsys, monkeypatch):
 
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "g2nil.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "verify" in proc.stdout and "exists" in proc.stdout
     proc = subprocess.run([sys.executable, "-m", "g2nil.cli"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 2  # argparse usage error matches the parse exit code
+
+
+def test_reader_closing_early_is_not_a_regression_failure():
+    # regress computes every row before printing, so the pipe is closed first
+    proc = subprocess.Popen([sys.executable, "-m", "g2nil.cli", "regress"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    code = proc.wait()
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert code == cli.EXIT_BROKEN_PIPE == 141

@@ -1,5 +1,6 @@
 """Exterior-algebra core: wedge, interior product, metric pairings, Hodge star."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -15,12 +16,14 @@ from g2nil.exterior import (
     MetricContext,
     Mode,
     ModeMismatchError,
+    ToleranceError,
     close,
     form_inner,
     forms_close,
     hodge,
     interior,
     nth_root_exact,
+    resolve_tolerance,
     top_wedge_coeff,
     volume_form,
     wedge,
@@ -286,6 +289,48 @@ def test_close_is_relative():
     assert close(1e12, 1e12 + 1.0, 1e-9)
     assert not close(1.0, 2.0, 1e-9)
     assert close(0.0, 0.0, 0.0)
+
+
+# -- the verdict rule: Mode.equal for scalars, KForm.is_zero for forms ---------
+
+
+def test_exact_verdicts_never_read_a_tolerance(monkeypatch):
+    tiny = Fraction(1, 10 ** 400)
+    assert float(tiny) == 0.0
+    form = KForm.from_terms(7, 2, {(1, 2): tiny})
+    # an unusable environment tolerance would raise if exact mode read it
+    monkeypatch.setenv("G2NIL_TOLERANCE", "nan")
+    assert not form.is_zero(1.0, 1e300)
+    assert not Mode.EXACT.equal(tiny, 0, 1.0, 1e300)
+    assert Mode.EXACT.equal(tiny, Fraction(2, 2 * 10 ** 400))
+    assert KForm.zero(7, 2).is_zero()
+    assert (form - form).is_zero()
+    assert Mode.FLOAT.equal(float(tiny), 0.0, 0.0)
+
+
+def test_float_is_zero_respects_scale():
+    form = KForm.from_terms(7, 1, {(1,): 1e-6, (3,): -5e-7}, Mode.FLOAT)
+    assert not form.is_zero(1e-9)
+    assert not form.is_zero(1e-9, scale=500.0)
+    assert form.is_zero(1e-9, scale=2000.0)
+    assert KForm.zero(7, 1, Mode.FLOAT).is_zero(0.0)
+    # Mode.equal takes the same scale; without one it is `close`'s 1 + |lhs| + |rhs|
+    assert Mode.FLOAT.equal(1.0, 1.0 + 1e-6, 1e-9, scale=2000.0)
+    assert not Mode.FLOAT.equal(1.0, 1.0 + 1e-6, 1e-9)
+
+
+@pytest.mark.parametrize("bad", [-1, math.nan, math.inf])
+def test_explicit_tolerance_is_validated(bad):
+    with pytest.raises(ToleranceError):
+        resolve_tolerance(bad)
+    with pytest.raises(ToleranceError):
+        KForm.from_terms(7, 1, {(1,): 1.0}, Mode.FLOAT).is_zero(bad)
+
+
+def test_zero_tolerance_is_valid():
+    assert resolve_tolerance(0) == 0.0
+    assert Mode.FLOAT.equal(144.0, 144.0, 0)
+    assert not Mode.FLOAT.equal(144.0, 144.0 + 1e-12, 0)
 
 
 # -- the minor table against an oracle written here ---------------------------

@@ -303,6 +303,14 @@ def test_non_nilsoliton_metric_rejected():
     assert rep.residual > 0  # best-fit constant is reported, residual is not zero
 
 
+def test_exact_nilsoliton_residual_matches_float():
+    g = Metric.diagonal(range(1, 8))
+    exact, floated = is_nilsoliton(H7, g), is_nilsoliton(H7, g.to_float())
+    assert not exact.is_nilsoliton and not floated.is_nilsoliton
+    assert abs(floated.residual - 2.0611) < 1e-4
+    assert abs(exact.residual - floated.residual) <= 1e-12 * floated.residual
+
+
 def test_nilsoliton_float_mode():
     rep = is_nilsoliton(H7, Metric.identity(7).to_float())
     assert rep.is_nilsoliton

@@ -2,6 +2,8 @@
 the three cases by derived dimension, self-dual Gram matrices, M-matrices and
 the orthogonal symmetrization."""
 
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +11,9 @@ import numpy as np
 import pytest
 
 from g2nil import catalog
-from g2nil.exterior import DegenerateError, KForm, Mode, form_inner
+from g2nil._radicals import Surd
+from g2nil.exterior import (DegenerateError, ExactnessError, KForm, Mode, ToleranceError,
+                            form_inner)
 from g2nil.g2su3 import G2Structure, torsion_class
 from g2nil.liealg import LieAlgebra, Metric
 from g2nil.structure import (
@@ -207,6 +211,90 @@ def test_exact_and_float_criteria_agree():
         floated = purely_coclosed_exists(L, g.to_float())
         assert exact.exists == floated.exists
         assert exact.case == floated.case
+
+
+# -- one self-dual path for both modes ------------------------------------------
+
+
+def _floated(D):
+    """D in float mode with the same (converted) plane basis, so S± match entry by entry."""
+    def fl(vectors):
+        return [tuple(float(x) for x in v) for v in vectors]
+    return dataclasses.replace(D, g=D.g.to_float(), mode=Mode.FLOAT,
+                               complement=fl(D.complement), abelian=fl(D.abelian),
+                               rtilde=fl(D.rtilde))
+
+
+def _sheared(diag, rng):
+    """P^T diag P for a unipotent upper-triangular integer shear P."""
+    n = len(diag)
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3):
+        i, j = sorted(rng.sample(range(n), 2))
+        P[i][j] = rng.choice([-1, 1])
+    return Metric([[sum(P[k][i] * diag[k] * P[k][j] for k in range(n)) for j in range(n)]
+                   for i in range(n)])
+
+
+def test_float_sd_gram_matches_exact_entries():
+    rng = random.Random(SEED)
+    checked = surds = 0
+    for entry in catalog.list():
+        if entry.derived_dim not in (2, 3):
+            continue
+        for trial in range(8):
+            diag = [Fraction(rng.randint(1, 4)) ** 2 / rng.choice([1, 4]) for _ in range(7)]
+            g = Metric.diagonal(diag) if trial % 2 else _sheared(diag, rng)
+            D = decompose(entry.algebra, g)
+            if not D.rtilde:
+                break  # n7_2_A, n7_2_B: no canonical 4-plane
+            Df = _floated(D)
+            for orient in (1, -1):
+                try:
+                    exact = sd_gram(D, orient)
+                except ExactnessError:
+                    continue  # entries mixing two radicals have no exact form
+                floated = sd_gram(Df, orient)
+                surds += sum(isinstance(x, Surd) for row in exact for x in row)
+                scale = max(abs(float(x)) for row in exact for x in row)
+                for row_e, row_f in zip(exact, floated):
+                    for x, y in zip(row_e, row_f):
+                        assert abs(float(x) - y) <= 1e-12 * scale, (entry.name, g.rows)
+                checked += 1
+    assert checked >= 120 and surds >= 20, (checked, surds)
+
+
+def test_float_identity_is_evaluated_entry_by_entry():
+    # S_- vanishes here; summing tr^2 S - 2 tr S^2 as x + y sqrt(T) first leaves
+    # rounding noise near 1e-15, the entry-by-entry traces are near 1e-32
+    g = catalog.get_family("h3c").metric(r=1, s=1, E=3, F=Fraction(1, 2), G=2).to_float()
+    rep = purely_coclosed_exists(H3C_R, g)
+    assert rep.exists and rep.orientation == "-"
+    assert all(abs(v) < 1e-20 for v in rep.diagnostics["minus"])
+
+
+def test_exact_identity_with_irrational_root_is_pinned():
+    # Q = 24 on diag(1, ..., 7), so sqrt(T) = 1/sqrt(24) is irrational and the
+    # verdict comes from the rational and radical components
+    pins = {N7_3_B: ([4.168402777777777, 5.253472222222222],
+                     [4.168402777777777, 5.253472222222222]),
+            H3C_R: ([21.54072751604417, 21.635770740745265],
+                    [0.02264053951138786, 0.032632037032513495])}
+    for L, (plus, minus) in pins.items():
+        rep = selfdual_exists(decompose(L, Metric.diagonal(range(1, 8))))
+        assert not rep.exists and rep.orientation is None
+        for got, want in zip(rep.diagnostics["plus"] + rep.diagnostics["minus"], plus + minus):
+            assert isinstance(got, float)
+            assert abs(got - want) <= 1e-12 * want
+
+
+def test_explicit_tolerance_is_validated():
+    g = catalog.get_family("heis7").metric(r=Fraction(1, 2), s=1, t=1).to_float()
+    for bad in (-1, math.nan, math.inf):
+        with pytest.raises(ToleranceError):
+            purely_coclosed_exists(H7, g, tol=bad)
+    assert purely_coclosed_exists(H7, g, tol=0).exists
+    assert purely_coclosed_exists(H7, g).exists
 
 
 def test_sd_basis_is_orthogonal_self_dual():
