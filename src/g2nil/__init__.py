@@ -6,9 +6,10 @@ The package is organized bottom-up:
 * :mod:`g2nil.exterior` -- multilinear algebra: k-forms, wedge, interior
   product, metric inner products, Hodge star.
 * :mod:`g2nil.liealg` -- Lie algebras from structure constants, the
-  Chevalley-Eilenberg differential, Ricci curvature and nilsolitons.
-* :mod:`g2nil.g2su3` -- G2-structures from coframes, torsion reports,
-  SU(3)-reductions and calibration checks.
+  Chevalley-Eilenberg differential, the Ricci operator from the j-map and
+  nilsolitons.
+* :mod:`g2nil.g2su3` -- G2-structures from coframes, torsion reports and
+  calibration checks.
 * :mod:`g2nil.structure` -- existence criteria for (purely) coclosed
   G2-structures on 2-step nilpotent algebras with dim n' in {1, 2, 3}.
 * :mod:`g2nil.construct` -- constructive witnesses: adapted coframes
@@ -28,43 +29,33 @@ from .exterior import (
     ToleranceError,
     close,
     form_inner,
-    forms_close,
     hodge,
-    interior,
     resolve_tolerance,
     top_wedge_coeff,
     volume_form,
-    wedge,
 )
 from .liealg import (
     LieAlgebra,
     Metric,
     NilsolitonReport,
-    ce_diff,
+    UnsupportedAlgebraError,
     is_nilsoliton,
     jz_matrix,
-    ricci,
     ricci_operator,
 )
 from .g2su3 import (
     G2Structure,
-    SU3Structure,
     TorsionReport,
     calibrates,
     induced_metric,
-    is_half_flat,
-    is_special_half_flat,
-    nondegenerate,
     phi_from_coframe,
     phi_standard,
     starphi_standard,
-    su3_reduce,
     torsion_class,
 )
 from .structure import (
     CriterionReport,
     MetricDecomposition,
-    UnsupportedAlgebraError,
     coclosed_always,
     coclosed_exists,
     decompose,
@@ -80,7 +71,6 @@ from .construct import (
     construct_case1,
     construct_case2,
     construct_case3,
-    construct_coclosed,
 )
 from . import catalog
 from .catalog import UnknownAlgebraError
@@ -91,23 +81,21 @@ __all__ = [
     "__version__",
     # exterior
     "DegenerateError", "ExactnessError", "G2nilError", "KForm", "Mode",
-    "ModeMismatchError", "ToleranceError", "close", "form_inner", "forms_close", "hodge",
-    "interior", "resolve_tolerance", "top_wedge_coeff", "volume_form", "wedge",
+    "ModeMismatchError", "ToleranceError", "close", "form_inner", "hodge",
+    "resolve_tolerance", "top_wedge_coeff", "volume_form",
     # liealg
-    "LieAlgebra", "Metric", "NilsolitonReport", "ce_diff", "is_nilsoliton",
-    "jz_matrix", "ricci", "ricci_operator",
+    "LieAlgebra", "Metric", "NilsolitonReport", "UnsupportedAlgebraError", "is_nilsoliton",
+    "jz_matrix", "ricci_operator",
     # g2su3
-    "G2Structure", "SU3Structure", "TorsionReport", "calibrates",
-    "induced_metric", "is_half_flat", "is_special_half_flat", "nondegenerate",
-    "phi_from_coframe", "phi_standard", "starphi_standard", "su3_reduce",
-    "torsion_class",
+    "G2Structure", "TorsionReport", "calibrates", "induced_metric",
+    "phi_from_coframe", "phi_standard", "starphi_standard", "torsion_class",
     # structure
-    "CriterionReport", "MetricDecomposition", "UnsupportedAlgebraError",
+    "CriterionReport", "MetricDecomposition",
     "coclosed_always", "coclosed_exists", "decompose", "m_matrix",
     "purely_coclosed_exists", "sd_basis_forms", "sd_gram", "symmetrize_M",
     # construct
     "Construction", "construct", "construct_case1", "construct_case2",
-    "construct_case3", "construct_coclosed",
+    "construct_case3",
     # catalog
     "catalog", "UnknownAlgebraError",
 ]

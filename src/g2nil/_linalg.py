@@ -3,8 +3,8 @@
 Everything in this package lives in dimension <= 7, so plain expansion and
 elimination are the right tools. Each routine follows the scalar type of its
 input: Python ints stay in the integers, `fractions.Fraction` entries give
-exact results, `float` entries give float results. Only the exact coercions
-`frac`, `vec` and `mat` reject floats.
+exact results, `float` entries give float results. Only the exact coercion
+`frac` rejects floats.
 
 Matrices are tuples of tuples; vectors are tuples. `MinorTable` caches the
 minors of one matrix, each a Laplace expansion over smaller cached minors;
@@ -19,7 +19,7 @@ a product with a zero Fraction costs as much as any other.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -36,17 +36,6 @@ def frac(x) -> Fraction:
     if isinstance(x, bool) or isinstance(x, float):
         raise TypeError(f"exact arithmetic requires int/str/Fraction, got {x!r}")
     return Fraction(x)
-
-
-def vec(entries: Iterable) -> Vec:
-    return tuple(frac(x) for x in entries)
-
-
-def mat(rows: Iterable[Iterable]) -> Mat:
-    m = tuple(vec(row) for row in rows)
-    if m and any(len(row) != len(m[0]) for row in m):
-        raise ValueError("ragged matrix")
-    return m
 
 
 def transpose(a: Mat) -> Mat:

@@ -46,7 +46,7 @@ from .structure import (
 
 __all__ = [
     "CatalogEntry", "MetricFamily", "UnknownAlgebraError",
-    "get", "list", "names", "aliases_of",
+    "get", "list", "names",
     "family_metric", "families", "get_family",
     "fixture_dir", "fixture_names", "load_fixture", "check_fixture",
     "parse_coefficient", "coframe_from_fixture",
@@ -734,10 +734,6 @@ for _e in _ENTRIES:
 
 def names() -> tuple[str, ...]:
     return tuple(e.name for e in _ENTRIES)
-
-
-def aliases_of(name: str) -> tuple[str, ...]:
-    return get(name).alias_names
 
 
 def get(name: str) -> CatalogEntry:

@@ -12,7 +12,9 @@ the standard 3-form as phi = sigma_1 ∧ e^5 + sigma_2 ∧ e^6 + sigma_3 ∧ e^7
 + e^567 (which is the standard pattern). Torsion conditions then become
 linear-algebra statements about the matrix M_mj = <sigma_m, d e^{4+j}>:
 symmetric for coclosed, symmetric trace-free for purely coclosed. Cases 1
-and 2 use the analogous reductions described in `structure`.
+and 2 use the analogous reductions described in `structure`; case 2 rotates
+the self-dual 2-forms of the 4-plane by left multiplication with a unit
+quaternion.
 """
 from __future__ import annotations
 
@@ -27,8 +29,7 @@ from .liealg import LieAlgebra, Metric
 from .structure import (CriterionReport, MetricDecomposition, _orthocomplement_float,
                         decompose, purely_coclosed_exists, symmetrize_M)
 
-__all__ = ["Construction", "construct", "construct_coclosed",
-           "construct_case1", "construct_case2", "construct_case3"]
+__all__ = ["Construction", "construct", "construct_case1", "construct_case2", "construct_case3"]
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +62,6 @@ _SIGMA_MINUS = (
     {(0, 3): -1.0, (1, 2): 1.0},
     {(0, 1): 1.0, (2, 3): -1.0},
 )
-_PAIRS4 = tuple((a, b) for a in range(4) for b in range(a + 1, 4))
 
 
 def _sigma_matrices(table):
@@ -86,62 +86,36 @@ def _sd_action(O: np.ndarray, mats) -> np.ndarray:
                      for Sm in mats])
 
 
-def _so3_vee(W: np.ndarray) -> np.ndarray:
-    return np.array([W[2, 1], W[0, 2], W[1, 0]])
+def _quaternion(R: np.ndarray) -> np.ndarray:
+    """Unit quaternion (w, x, y, z) of a rotation R, by Shepperd's method.
 
-
-def _so3_hat(n: np.ndarray) -> np.ndarray:
-    return np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
-
-
-def _so3_log(R: np.ndarray) -> np.ndarray:
-    """Matrix logarithm on SO(3), accurate for every rotation angle."""
-    axis = _so3_vee(R - R.T)             # 2 sin(theta) n
-    c = (float(np.trace(R)) - 1.0) / 2.0
-    theta = float(np.arctan2(0.5 * np.linalg.norm(axis), c))
-    if theta < 1e-8:
-        return 0.5 * (R - R.T)
-    if theta <= np.pi / 2:
-        return theta / (2.0 * np.sin(theta)) * (R - R.T)
-    # (R + R^T)/2 - cos(theta) I = (1 - cos(theta)) n n^T gives n up to sign,
-    # with no loss of accuracy as theta approaches pi
-    B = 0.5 * (R + R.T) - c * np.eye(3)
-    k = int(np.argmax(np.diag(B)))
-    n = B[:, k] / np.linalg.norm(B[:, k])
-    return theta * _so3_hat(n if n @ axis >= 0 else -n)
-
-
-def _skew_exp(xi: np.ndarray) -> np.ndarray:
-    """exp of a real skew matrix via a Hermitian eigendecomposition."""
-    lam, U = np.linalg.eigh(1j * xi)
-    return np.real(U @ np.diag(np.exp(-1j * lam)) @ U.conj().T)
+    K = 4 q q^T is read off R. Its column k with the largest diagonal entry
+    (at least 1, as |q| = 1) divided by 2 sqrt(K_kk) is q up to sign, so no
+    division is by a small number, whatever the rotation angle.
+    """
+    t = float(np.trace(R))
+    K = np.array([
+        [1.0 + t, R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]],
+        [R[2, 1] - R[1, 2], 1.0 + 2.0 * R[0, 0] - t, R[0, 1] + R[1, 0], R[0, 2] + R[2, 0]],
+        [R[0, 2] - R[2, 0], R[0, 1] + R[1, 0], 1.0 + 2.0 * R[1, 1] - t, R[1, 2] + R[2, 1]],
+        [R[1, 0] - R[0, 1], R[0, 2] + R[2, 0], R[1, 2] + R[2, 1], 1.0 + 2.0 * R[2, 2] - t],
+    ])
+    k = int(np.argmax(np.diag(K)))
+    return K[:, k] / (2.0 * np.sqrt(K[k, k]))
 
 
 def _lift_so3_to_so4(R: np.ndarray) -> np.ndarray:
     """O in SO(4) inducing the rotation R on self-dual 2-forms and the
-    identity on anti-self-dual ones, via the generator calculus
-    d/dt D(exp(tE)) = (1/4) tr(E [Sigma_m, Sigma_n])."""
-    gens = []
-    for (a, b) in _PAIRS4:
-        E = np.zeros((4, 4))
-        E[a, b], E[b, a] = 1.0, -1.0
-        gens.append(E)
-    rows = []
-    for mats in (_SIG_P, _SIG_M):
-        comm = [[mats[m] @ mats[n] - mats[n] @ mats[m] for n in range(3)] for m in range(3)]
-        for E in gens:
-            W = np.array([[0.25 * float(np.trace(E @ comm[m][n])) for n in range(3)]
-                          for m in range(3)])
-            rows.append(_so3_vee(W))
-    # system: columns indexed by generators, first 3 rows = SD part, last 3 = ASD
-    A = np.zeros((6, 6))
-    for g_idx in range(6):
-        A[:3, g_idx] = rows[g_idx]
-        A[3:, g_idx] = rows[6 + g_idx]
-    target = np.concatenate([_so3_vee(_so3_log(R)), np.zeros(3)])
-    coeffs = np.linalg.solve(A, target)
-    xi = sum(c * E for c, E in zip(coeffs, gens))
-    O = _skew_exp(xi)
+    identity on anti-self-dual ones.
+
+    SO(4) = Sp(1)·Sp(1): left multiplication by a unit quaternion fixes the
+    anti-self-dual forms and rotates the self-dual ones as the quaternion
+    rotates R^3. With the sigma basis above, the quaternion q = (w, x, y, z)
+    of R gives O = left multiplication by (w, -z, -x, y) on R^4 = H.
+    """
+    w, x, y, z = _quaternion(R)
+    a, b, c, d = w, -z, -x, y
+    O = np.array([[a, -b, -c, -d], [b, a, -d, c], [c, d, a, -b], [d, -c, b, a]])
     if (np.max(np.abs(_sd_action(O, _SIG_P) - R)) > 1e-9
             or np.max(np.abs(_sd_action(O, _SIG_M) - np.eye(3))) > 1e-9):
         raise DegenerateError("self-dual lift failed to calibrate")
@@ -353,7 +327,7 @@ def construct_case2(D: MetricDecomposition, report: CriterionReport | None = Non
         T = Q @ T0
         t3 = np.cross(T[0], T[1])
         R = np.vstack([T, t3])
-    O = _lift_so3_to_so4(R) if np.max(np.abs(R - np.eye(3))) > 1e-13 else np.eye(4)
+    O = _lift_so3_to_so4(R)
     # e'^a = sum_b O[a, b] e^b realises sigma'_m = O^T Sigma_m O, the same
     # convention _sd_action uses, so the new coordinates are y' = R y
     new_frame = [sum(O[a, b] * frame4[b] for b in range(4)) for a in range(4)]
@@ -413,7 +387,3 @@ def construct(L: LieAlgebra, g: Metric, kind: str = "purely",
     else:
         coframe = construct_case3(D, purely=purely, tol=tol)
     return _finish(L, gf, coframe, D.derived_dim, kind, tol)
-
-
-def construct_coclosed(L: LieAlgebra, g: Metric, tol: float | None = None) -> Construction:
-    return construct(L, g, kind="coclosed", tol=tol)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations
 from numbers import Real
 
-from ._linalg import MinorTable, frac, rational_root, rational_sqrt
+from ._linalg import MinorTable, frac, rational_sqrt
 
 MAX_DIM = 10
 
@@ -363,19 +363,6 @@ def top_wedge_coeff(a: KForm, b: KForm):
     return total
 
 
-def wedge(*forms: KForm) -> KForm:
-    if not forms:
-        raise ValueError("need at least one form")
-    out = forms[0]
-    for f in forms[1:]:
-        out = out.wedge(f)
-    return out
-
-
-def interior(vector, form: KForm) -> KForm:
-    return form.interior(vector)
-
-
 # -- metric-dependent operations ---------------------------------------------
 
 
@@ -514,19 +501,3 @@ def volume_form(g, mode: Mode, orientation: int = 1, ctx: MetricContext | None =
     root = ctx.sqrt_det()
     top = KForm.basis(n, tuple(range(1, n + 1)), mode)
     return (orientation * root) * top
-
-
-def forms_close(a: KForm, b: KForm, tol: float | None = None) -> bool:
-    """Coefficient-wise comparison, relative to the larger form's scale."""
-    if a.dim != b.dim or a.degree != b.degree:
-        return False
-    if a.mode is not b.mode:
-        a, b = a.to_float(), b.to_float()
-    return (a - b).is_zero(tol, max(a.max_abs(), b.max_abs(), 1.0))
-
-
-def nth_root_exact(x: Fraction, n: int) -> Fraction:
-    r = rational_root(Fraction(x), n)
-    if r is None:
-        raise ExactnessError(f"{x} has no rational {n}-th root; use float mode")
-    return r

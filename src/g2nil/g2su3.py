@@ -1,4 +1,4 @@
-"""G2-structures on 7-dimensional algebras and their SU(3) reductions.
+"""G2-structures on 7-dimensional algebras: induced metric, torsion, calibration.
 
 The adapted model 3-form is
 
@@ -30,9 +30,7 @@ from .liealg import LieAlgebra, Metric
 
 __all__ = [
     "G2_PATTERN", "phi_standard", "starphi_standard", "phi_from_coframe",
-    "induced_metric", "G2Structure", "TorsionReport", "torsion_class",
-    "SU3Structure", "su3_reduce", "is_half_flat", "is_special_half_flat",
-    "calibrates",
+    "induced_metric", "G2Structure", "TorsionReport", "torsion_class", "calibrates",
 ]
 
 # index triples and signs of the adapted 3-form
@@ -173,14 +171,6 @@ class G2Structure:
         return self._starphi
 
 
-def nondegenerate(phi: KForm) -> bool:
-    try:
-        induced_metric(phi)
-        return True
-    except DegenerateError:
-        return False
-
-
 @dataclass
 class TorsionReport:
     coclosed: bool
@@ -228,53 +218,6 @@ def torsion_class(L: LieAlgebra, phi: KForm | G2Structure,
     calib = calibrates(struct, derived, tol) if len(derived) == 3 else None
     return TorsionReport(coclosed, tau0, purely, calib, float(res_co), float(res_tau),
                          struct.mode)
-
-
-@dataclass
-class SU3Structure:
-    """(omega, psi_plus, psi_minus) induced on the orthogonal complement of z."""
-    omega: KForm
-    psi_plus: KForm
-    psi_minus: KForm
-    z: tuple
-    z_flat: KForm
-    mode: Mode
-
-
-def su3_reduce(phi: KForm | G2Structure, z: Sequence, tol: float | None = None) -> SU3Structure:
-    """Split phi = omega ∧ z^b + psi_plus along a unit vector z.
-
-    psi_minus is recovered from the 4-form: *phi = (1/2) omega^2 + psi_minus ∧ z^b,
-    so psi_minus = -(z ⌟ *phi).
-    """
-    struct = phi if isinstance(phi, G2Structure) else G2Structure.from_phi(phi)
-    zz = tuple(z)
-    norm_sq = struct.metric.norm_sq(zz)
-    if not struct.mode.equal(norm_sq, 1, tol):
-        raise ValueError(f"z must be a unit vector, |z|^2 = {norm_sq}")
-    flat_coeffs = [sum(struct.metric.rows[i][j] * zz[j] for j in range(7)) for i in range(7)]
-    z_flat = KForm.from_terms(7, 1, {(i + 1,): c for i, c in enumerate(flat_coeffs) if c != 0},
-                              struct.mode)
-    omega = struct.phi.interior(zz)
-    psi_plus = struct.phi - omega.wedge(z_flat)
-    psi_minus = -struct.starphi.interior(zz)
-    return SU3Structure(omega, psi_plus, psi_minus, zz, z_flat, struct.mode)
-
-
-def is_half_flat(L: LieAlgebra, s: SU3Structure, tol: float | None = None) -> bool:
-    """d(omega) ∧ omega = 0 and d(psi_minus) = 0."""
-    dw_w = L.ce_diff(s.omega).wedge(s.omega)
-    dpsi = L.ce_diff(s.psi_minus)
-    scale = max(s.omega.max_abs() ** 2, s.psi_minus.max_abs(), 1.0)
-    return dw_w.is_zero(tol, scale) and dpsi.is_zero(tol, scale)
-
-
-def is_special_half_flat(L: LieAlgebra, s: SU3Structure, tol: float | None = None) -> bool:
-    """Half-flat with d(omega) ∧ psi_plus = 0 as well."""
-    if not is_half_flat(L, s, tol):
-        return False
-    dw_psi = L.ce_diff(s.omega).wedge(s.psi_plus)
-    return dw_psi.is_zero(tol, max(s.omega.max_abs() * s.psi_plus.max_abs(), 1.0))
 
 
 def calibrates(phi: KForm | G2Structure, subspace: Sequence[Sequence],

@@ -8,6 +8,10 @@ An algebra is given by the differentials of the dual basis covectors:
 so ``[f_a, f_b] = -sum_k (d e^k)(f_a, f_b) f_k``. Structure constants are
 always exact rationals; metrics may be exact or float, and that choice decides
 the arithmetic mode of everything downstream.
+
+Ricci curvature is computed only for 2-step algebras, from the j-map
+(Eberlein, Ann. Sci. ENS 27, 1994); `ricci_operator` rejects any other
+algebra with `UnsupportedAlgebraError`.
 """
 from __future__ import annotations
 
@@ -15,14 +19,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._linalg import (Mat, Vec, frac, gram_schmidt_sq, mat_inv, mat_mul, mat_vec, nullspace,
-                      row_space_basis)
-from .exterior import DegenerateError, KForm, MetricContext, Mode, ModeMismatchError
+from ._linalg import (Mat, Vec, dot, frac, gram_schmidt_sq, mat_inv, mat_mul, mat_vec, nullspace,
+                      row_space_basis, transpose)
+from .exterior import DegenerateError, G2nilError, KForm, MetricContext, Mode, ModeMismatchError
 
 __all__ = [
-    "LieAlgebra", "Metric", "ce_diff", "jz_matrix", "ricci", "ricci_operator",
-    "NilsolitonReport", "is_nilsoliton",
+    "LieAlgebra", "Metric", "jz_matrix", "ricci_operator", "NilsolitonReport", "is_nilsoliton",
+    "UnsupportedAlgebraError",
 ]
+
+
+class UnsupportedAlgebraError(G2nilError):
+    """The algebra is outside the supported family (7-dim, 2-step, dim n' <= 3)."""
+
 
 _ZERO = Fraction(0)
 
@@ -306,10 +315,6 @@ def _has_float(data) -> bool:
     return any(isinstance(x, float) for row in data for x in row)
 
 
-def ce_diff(L: LieAlgebra, form: KForm) -> KForm:
-    return L.ce_diff(form)
-
-
 def jz_matrix(L: LieAlgebra, g: Metric, z: Sequence, basis: Sequence[Sequence]) -> list[list]:
     """Matrix of the skew map j(z) on the span of `basis`.
 
@@ -329,42 +334,40 @@ def _unit_vectors(g: Metric) -> list[tuple]:
     return [g.as_vector(int(i == k) for i in range(g.dim)) for k in range(g.dim)]
 
 
-def ricci(L: LieAlgebra, g: Metric):
-    """Ricci tensor of the left-invariant metric, as a bilinear-form matrix.
-
-    For a nilpotent Lie group with orthonormal frame {u_i}:
-      Ric(x,y) = -1/2 sum_i g([x,u_i],[y,u_i])
-                 + 1/4 sum_{i,j} g([u_i,u_j],x) g([u_i,u_j],y).
-    The frame is built by normalization-free Gram-Schmidt, so exact metrics
-    give an exact Ricci tensor (each u_i enters the sums quadratically).
-    """
-    n = L.dim
-    basis = _unit_vectors(g)
-    ortho, q = gram_schmidt_sq(basis, g.inner)
-    bx = [[L.bracket(basis[a], ortho[i]) for i in range(n)] for a in range(n)]
-    bij = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = L.bracket(ortho[i], ortho[j])
-            if any(w):
-                bij[(i, j)] = w
-
-    rows = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            t1 = sum(g.inner(bx[a][i], bx[b][i]) / q[i] for i in range(n))
-            t2 = sum(g.inner(w, basis[a]) * g.inner(w, basis[b]) / (q[i] * q[j])
-                     for (i, j), w in bij.items())
-            # the sum over i < j counts each unordered pair once: 1/4 * 2 = 1/2
-            row.append((t2 - t1) / 2)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def ricci_operator(L: LieAlgebra, g: Metric):
-    """Ricci endomorphism Rc = g^{-1} Ric, as a matrix acting on coordinates."""
-    return mat_mul(mat_inv(g.rows), ricci(L, g))
+    """Ricci endomorphism Rc = g^{-1} Ric of a 2-step nilpotent algebra, from the j-map.
+
+    Take the normalization-free Gram-Schmidt basis z_k of n' with squared
+    norms p_k, and A_k = g^{-1} C_k with (C_k)_ab = g(z_k, [e_a, e_b]), so that
+    A_k is -j(z_k) in coordinates. Then (Eberlein)
+      Rc = 1/2 sum_k A_k^2 / p_k - 1/4 sum_{i,j} tr(A_i A_j) / (p_i p_j) z_j (g z_i)^T:
+    the first sum is Rc on the orthocomplement of n', the second Rc on n'.
+    Each z_k enters quadratically, so an exact metric gives an exact operator.
+    """
+    if not L.is_two_step():
+        raise UnsupportedAlgebraError("the j-map Ricci formula needs a 2-step nilpotent algebra")
+    n = L.dim
+    zs, p = gram_schmidt_sq([g.as_vector(z) for z in L.derived_basis()], g.inner)
+    g_inv = mat_inv(g.rows)
+    gz = [mat_vec(g.rows, z) for z in zs]
+    table = L._bracket_table(g.mode is Mode.FLOAT)
+    A = [mat_mul(g_inv, tuple(tuple(dot(w, table[(a, b)]) for b in range(1, n + 1))
+                              for a in range(1, n + 1)))
+         for w in gz]
+    squares = [(mat_mul(Ak, Ak), 2 * pk) for Ak, pk in zip(A, p)]
+    rc = [[sum(sq[a][b] / d for sq, d in squares) for b in range(n)] for a in range(n)]
+    AT = [transpose(Ak) for Ak in A]
+    for j, zj in enumerate(zs):
+        # Rc -= z_j u^T with u = sum_i tr(A_i A_j) / (4 p_i p_j) g z_i
+        u = [g._zero] * n
+        for i, wi in enumerate(gz):
+            c = sum(dot(row, col) for row, col in zip(A[i], AT[j])) / (4 * p[i] * p[j])
+            if c:
+                u = [x + c * y for x, y in zip(u, wi)]
+        for a, za in enumerate(zj):
+            if za:
+                rc[a] = [x - za * y for x, y in zip(rc[a], u)]
+    return tuple(map(tuple, rc))
 
 
 @dataclass
@@ -389,7 +392,8 @@ def is_nilsoliton(L: LieAlgebra, g: Metric, tol: float | None = None) -> Nilsoli
 
     Equivalently K(x,y) + lam*[x,y] = 0 for all basis pairs, where
     K(x,y) = Rc[x,y] - [Rc x, y] - [x, Rc y]; lam is found by least squares
-    and the residual must vanish (exactly, or within the tolerance).
+    and the residual must vanish (exactly, or within the tolerance). Like
+    `ricci_operator`, raises UnsupportedAlgebraError unless L is 2-step.
     """
     rc = ricci_operator(L, g)
     basis = _unit_vectors(g)
@@ -402,9 +406,8 @@ def is_nilsoliton(L: LieAlgebra, g: Metric, tol: float | None = None) -> Nilsoli
                     mat_vec(rc, B), L.bracket(mat_vec(rc, x), y), L.bracket(x, mat_vec(rc, y))))
             pairs.append((K_vec, B))
 
+    # nonzero: ricci_operator rejected abelian algebras
     denom = sum(g.inner(B, B) for _, B in pairs)
-    if denom == 0:
-        raise DegenerateError("abelian algebra: bracket matrix vanishes")
     num = sum(g.inner(K, B) for K, B in pairs)
     lam = -num / denom
 

@@ -37,9 +37,9 @@ from typing import Sequence
 
 from ._linalg import dot, gram_schmidt_sq, nullspace, rational_sqrt
 from ._radicals import Surd
-from .exterior import (DegenerateError, ExactnessError, G2nilError, KForm, Mode,
+from .exterior import (DegenerateError, ExactnessError, KForm, Mode,
                        close, form_inner, resolve_tolerance)
-from .liealg import LieAlgebra, Metric, jz_matrix
+from .liealg import LieAlgebra, Metric, UnsupportedAlgebraError, jz_matrix
 
 __all__ = [
     "UnsupportedAlgebraError", "MetricDecomposition", "decompose",
@@ -47,10 +47,6 @@ __all__ = [
     "coclosed_exists", "purely_coclosed_exists", "coclosed_always",
     "symmetrize_M", "m_matrix", "sd_basis_forms",
 ]
-
-
-class UnsupportedAlgebraError(G2nilError):
-    """The algebra is outside the supported family (7-dim, 2-step, dim n' <= 3)."""
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from g2nil import catalog
-from g2nil.construct import (_lift_so3_to_so4, _skew_exp, _so3_hat, _so3_log, construct,
-                             construct_coclosed)
+from g2nil.construct import _SIG_M, _SIG_P, _lift_so3_to_so4, _sd_action, construct
 from g2nil.exterior import DegenerateError
 from g2nil.g2su3 import G2Structure, torsion_class
 from g2nil.liealg import LieAlgebra, Metric
@@ -68,21 +67,21 @@ def test_construct_rejects_obstructed_inputs():
 
 def test_construct_coclosed_on_purely_obstructed_metrics():
     # heis3 + R^4 admits coclosed (never purely) structures for every metric
-    result = construct_coclosed(H3_R4, Metric.identity(7))
+    result = construct(H3_R4, Metric.identity(7), "coclosed")
     assert result.torsion.coclosed
     assert not result.torsion.purely_coclosed
     assert result.metric_residual < 1e-9
     # same for a case-3 metric on the wrong side of the trace identity
     g = Metric.diagonal([1, 1, 1, 1, 1, 1, 2])
     assert not purely_coclosed_exists(N7_3_C, g).exists
-    result = construct_coclosed(N7_3_C, g)
+    result = construct(N7_3_C, g, "coclosed")
     assert result.torsion.coclosed
     assert result.metric_residual < 1e-9
 
 
 def test_construct_coclosed_requires_abelian_factor_in_case_2():
     with pytest.raises(DegenerateError):
-        construct_coclosed(N7_2_A, Metric.identity(7))
+        construct(N7_2_A, Metric.identity(7), "coclosed")
 
 
 def test_case1_harmonic_family_loop():
@@ -146,13 +145,34 @@ def test_construct_kind_validation():
         construct(H7, Metric.identity(7), kind="bogus")
 
 
+def _rodrigues(n, theta):
+    """Rotation of R^3 by theta about the unit axis n."""
+    N = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
+    return np.eye(3) + np.sin(theta) * N + (1.0 - np.cos(theta)) * N @ N
+
+
+def _assert_lifts(R):
+    """The lift O is in SO(4), rotates the self-dual 2-forms by R and fixes
+    the anti-self-dual ones."""
+    O = _lift_so3_to_so4(R)
+    assert np.max(np.abs(O.T @ O - np.eye(4))) < 1e-12
+    assert abs(np.linalg.det(O) - 1.0) < 1e-12
+    assert np.max(np.abs(_sd_action(O, _SIG_P) - R)) < 1e-12
+    assert np.max(np.abs(_sd_action(O, _SIG_M) - np.eye(3))) < 1e-12
+
+
 @pytest.mark.parametrize("gap", [1e-2, 2.4e-4, 1e-7, 0.0])
-def test_so3_log_and_lift_near_angle_pi(gap):
-    """Rotations by pi - gap: exp(log R) = R to 1e-12, and the self-dual lift
-    passes its own 1e-9 calibration check."""
+def test_lift_so3_to_so4_near_angle_pi(gap):
     rng = np.random.default_rng(SEED)
     for _ in range(10):
         n = rng.normal(size=3)
-        R = _skew_exp((np.pi - gap) * _so3_hat(n / np.linalg.norm(n)))
-        assert np.max(np.abs(_skew_exp(_so3_log(R)) - R)) < 1e-12
-        _lift_so3_to_so4(R)
+        _assert_lifts(_rodrigues(n / np.linalg.norm(n), np.pi - gap))
+
+
+def test_lift_so3_to_so4_identity_and_random_rotations():
+    _assert_lifts(np.eye(3))
+    assert np.array_equal(_lift_so3_to_so4(np.eye(3)), np.eye(4))
+    rng = np.random.default_rng(SEED + 1)
+    for _ in range(50):
+        n = rng.normal(size=3)
+        _assert_lifts(_rodrigues(n / np.linalg.norm(n), rng.uniform(0.0, np.pi)))

@@ -1,24 +1,20 @@
-"""G2-structures: the standard 3-form, induced metrics, torsion reports,
-SU(3)-reductions along a unit direction, and calibration of subspaces."""
+"""G2-structures: the standard 3-form, induced metrics, torsion reports and
+calibration of subspaces."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
-from g2nil.exterior import (DegenerateError, ExactnessError, KForm, Mode, forms_close,
-                            top_wedge_coeff, wedge)
+from g2nil.exterior import DegenerateError, ExactnessError, KForm, Mode, top_wedge_coeff
 from g2nil.g2su3 import (
     G2Structure,
     calibrates,
     induced_metric,
-    is_half_flat,
-    is_special_half_flat,
-    nondegenerate,
     phi_from_coframe,
     phi_standard,
     starphi_standard,
-    su3_reduce,
     torsion_class,
 )
 from g2nil.liealg import LieAlgebra, Metric
@@ -44,22 +40,6 @@ def rand_coframe(rng, draws=50):
     raise AssertionError(f"no invertible coframe in {draws} random draws")
 
 
-def _mat_inv(rows):
-    n = len(rows)
-    m = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
-         for i, r in enumerate(rows)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if m[r][c])
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for r in range(n):
-            if r != c and m[r][c]:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return [row[n:] for row in m]
-
-
 PHI_TERMS = {(1, 2, 7): 1, (3, 4, 7): 1, (5, 6, 7): 1, (1, 3, 5): 1,
              (1, 4, 6): -1, (2, 3, 6): -1, (2, 4, 5): -1}
 STARPHI_TERMS = {(1, 2, 3, 4): 1, (1, 2, 5, 6): 1, (3, 4, 5, 6): 1, (1, 3, 6, 7): 1,
@@ -77,7 +57,7 @@ def test_standard_phi_round_trip():
     assert struct.orientation == 1
     assert struct.starphi == starphi_standard()
     e = [KForm.basis(7, i) for i in range(1, 8)]
-    assert struct.volume * wedge(*e) == struct.hodge(KForm.from_terms(7, 0, {(): 1}))
+    assert struct.volume * functools.reduce(KForm.wedge, e) == struct.hodge(KForm.from_terms(7, 0, {(): 1}))
 
 
 def test_induced_metric_is_gram_of_coframe():
@@ -140,41 +120,9 @@ def test_from_coframe_handles_either_orientation():
 
 
 def test_degenerate_three_form_detected():
-    assert not nondegenerate(KForm.from_terms(7, 3, {(1, 2, 3): 1}))
-    assert nondegenerate(phi_standard())
-
-
-def test_su3_reduction_of_standard_phi():
-    s = su3_reduce(phi_standard(), tuple(Fraction(int(i == 6)) for i in range(7)))
-    assert s.omega == KForm.from_terms(7, 2, {(1, 2): 1, (3, 4): 1, (5, 6): 1})
-    assert s.psi_plus == KForm.from_terms(
-        7, 3, {(1, 3, 5): 1, (1, 4, 6): -1, (2, 3, 6): -1, (2, 4, 5): -1})
-    assert s.psi_minus == KForm.from_terms(
-        7, 3, {(1, 3, 6): 1, (1, 4, 5): 1, (2, 3, 5): 1, (2, 4, 6): -1})
-
-
-def test_su3_reduction_identities():
-    # For any unit z: phi = omega ^ z_flat + psi_plus,
-    # *phi = (1/2) omega^2 + psi_minus ^ z_flat, omega ^ psi_pm = 0,
-    # and psi_plus ^ psi_minus = (2/3) omega^3.
-    rng = random.Random(SEED + 1)
-    for _ in range(10):
-        A, cof = rand_coframe(rng)
-        struct = G2Structure.from_coframe(cof)
-        z = tuple(row[6] for row in _mat_inv(A))  # 7th dual-frame vector: unit
-        s = su3_reduce(struct, z)
-        assert struct.phi == s.omega.wedge(s.z_flat) + s.psi_plus
-        half_w2 = s.omega.wedge(s.omega) * Fraction(1, 2)
-        assert struct.starphi == half_w2 + s.psi_minus.wedge(s.z_flat)
-        assert not s.omega.wedge(s.psi_plus)
-        assert not s.omega.wedge(s.psi_minus)
-        w3 = s.omega.wedge(s.omega).wedge(s.omega)
-        assert s.psi_plus.wedge(s.psi_minus) * 3 == w3 * 2
-
-
-def test_su3_requires_unit_vector():
-    with pytest.raises(ValueError):
-        su3_reduce(phi_standard(), tuple(Fraction(2 * int(i == 6)) for i in range(7)))
+    with pytest.raises(DegenerateError):
+        induced_metric(KForm.from_terms(7, 3, {(1, 2, 3): 1}))
+    induced_metric(phi_standard())
 
 
 H5_R2 = LieAlgebra.from_structure("h5_R2", [None] * 6 + [{(1, 2): 1, (3, 4): 1}])
@@ -186,35 +134,6 @@ def perm_coframe(order):
     return [KForm.basis(7, i) for i in order]
 
 
-def test_half_flat_from_coclosed_reduction():
-    # a purely coclosed structure reduced along a unit direction in the
-    # abelian factor is half-flat
-    cof = perm_coframe([1, 2, 4, 3, 5, 6, 7])  # purely coclosed on h5 + R^2
-    struct = G2Structure.from_coframe(cof)
-    rep = torsion_class(H5_R2, struct)
-    assert rep.coclosed and rep.purely_coclosed
-    for k in (4, 5):  # f5, f6 span the abelian factor
-        z = tuple(Fraction(int(i == k)) for i in range(7))
-        s = su3_reduce(struct, z)
-        assert is_half_flat(H5_R2, s)
-
-
-def test_special_half_flat_detects_extra_condition():
-    e = [KForm.basis(7, i) for i in range(1, 8)]
-    cof = [e[1], e[2], e[3], e[0], -e[5], e[4], e[6]]  # purely coclosed on n5_2 + R^2
-    struct = G2Structure.from_coframe(cof)
-    assert torsion_class(N5_2_R2, struct).purely_coclosed
-    z = tuple(Fraction(int(i == 6)) for i in range(7))
-    s = su3_reduce(struct, z)
-    assert is_half_flat(N5_2_R2, s)
-    assert is_special_half_flat(N5_2_R2, s) == (
-        not L_dw_psi(N5_2_R2, s))
-
-
-def L_dw_psi(L, s):
-    return bool(L.ce_diff(s.omega).wedge(s.psi_plus))
-
-
 def test_torsion_reports_on_heisenberg_like_families():
     # identity coframe on h5 + R^2: d e^7 = e^12 + e^34, and the M data is
     # symmetric but not trace-free in the mixed frame
@@ -222,6 +141,12 @@ def test_torsion_reports_on_heisenberg_like_families():
     rep = torsion_class(H5_R2, struct)
     assert isinstance(rep.coclosed, bool)
     assert rep.purely_coclosed == (rep.coclosed and rep.tau0 == 0)
+    # purely coclosed coframes: a permuted frame on h5 + R^2, and one on n5_2 + R^2
+    rep = torsion_class(H5_R2, G2Structure.from_coframe(perm_coframe([1, 2, 4, 3, 5, 6, 7])))
+    assert rep.coclosed and rep.purely_coclosed
+    e = [KForm.basis(7, i) for i in range(1, 8)]
+    cof = [e[1], e[2], e[3], e[0], -e[5], e[4], e[6]]
+    assert torsion_class(N5_2_R2, G2Structure.from_coframe(cof)).purely_coclosed
 
 
 def test_torsion_float_matches_exact():

@@ -1,5 +1,5 @@
 """Lie algebras from structure constants: Chevalley-Eilenberg differential,
-brackets, j(z) maps, Ricci curvature and nilsolitons."""
+brackets, j(z) maps, the j-map Ricci operator and nilsolitons."""
 
 import random
 from fractions import Fraction
@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2nil.exterior import KForm, Mode, ModeMismatchError, forms_close
+from g2nil._linalg import gram_schmidt_sq, mat_inv, mat_mul
+from g2nil.exterior import KForm, Mode, ModeMismatchError
 from g2nil.liealg import (
     LieAlgebra,
     Metric,
-    ce_diff,
+    UnsupportedAlgebraError,
     is_nilsoliton,
     jz_matrix,
-    ricci,
     ricci_operator,
 )
 
@@ -132,7 +132,6 @@ def test_ce_diff_leibniz():
         lhs = L.ce_diff(a.wedge(b))
         rhs = L.ce_diff(a).wedge(b) + a.wedge(L.ce_diff(b)) * ((-1) ** k)
         assert lhs == rhs
-        assert ce_diff(L, a) == L.ce_diff(a)
 
 
 def test_ce_diff_squares_to_zero_on_forms():
@@ -253,8 +252,63 @@ def test_jz_exact_matches_float():
                    for j in range(7)) < 1e-9
 
 
+def generic_ricci(L, g):
+    """Ricci tensor of any nilpotent Lie group, as a bilinear-form matrix: with
+    an orthonormal frame {u_i},
+      Ric(x,y) = -1/2 sum_i g([x,u_i],[y,u_i])
+                 + 1/4 sum_{i,j} g([u_i,u_j],x) g([u_i,u_j],y).
+    The frame comes from normalization-free Gram-Schmidt, so an exact metric
+    gives an exact tensor (each u_i enters quadratically). The oracle for
+    the j-map formula of `ricci_operator`."""
+    n = L.dim
+    basis = [g.as_vector(int(i == k) for i in range(n)) for k in range(n)]
+    ortho, q = gram_schmidt_sq(basis, g.inner)
+    bx = [[L.bracket(basis[a], ortho[i]) for i in range(n)] for a in range(n)]
+    bij = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = L.bracket(ortho[i], ortho[j])
+            if any(w):
+                bij[(i, j)] = w
+    rows = []
+    for a in range(n):
+        row = []
+        for b in range(n):
+            t1 = sum(g.inner(bx[a][i], bx[b][i]) / q[i] for i in range(n))
+            t2 = sum(g.inner(w, basis[a]) * g.inner(w, basis[b]) / (q[i] * q[j])
+                     for (i, j), w in bij.items())
+            # the sum over i < j counts each unordered pair once: 1/4 * 2 = 1/2
+            row.append((t2 - t1) / 2)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_ricci_operator_matches_generic_sum():
+    rng = random.Random(SEED + 8)
+    for t in range(42):
+        L = rand_two_step(rng, derived=1 + t % 3)
+        g = rand_spd(rng, 7)
+        oracle = mat_mul(mat_inv(g.rows), generic_ricci(L, g))
+        assert ricci_operator(L, g) == oracle
+        rf = ricci_operator(L, g.to_float())
+        assert max(abs(float(oracle[i][j]) - rf[i][j]) for i in range(7)
+                   for j in range(7)) < 1e-9
+
+
+def test_ricci_operator_rejects_three_step_algebra():
+    L = LieAlgebra.from_structure(
+        "threestep", [None, None, {(1, 2): 1}, {(1, 3): 1}, None, None, None])
+    assert L.d_squared_is_zero() and not L.is_two_step()
+    for g in (Metric.identity(7), Metric.identity(7, Mode.FLOAT)):
+        with pytest.raises(UnsupportedAlgebraError):
+            ricci_operator(L, g)
+        with pytest.raises(UnsupportedAlgebraError):
+            is_nilsoliton(L, g)
+
+
 def test_heisenberg_ricci_pinned():
-    ric = ricci(H3_R4, Metric.identity(7))
+    # on the identity metric the Ricci operator and the Ricci tensor agree
+    ric = ricci_operator(H3_R4, Metric.identity(7))
     diag = [ric[i][i] for i in range(7)]
     assert diag == [Fraction(-1, 2), Fraction(-1, 2), 0, 0, 0, 0, Fraction(1, 2)]
     assert all(ric[i][j] == 0 for i in range(7) for j in range(7) if i != j)
@@ -280,8 +334,8 @@ def test_ricci_float_agrees_with_exact():
     for _ in range(10):
         L = rand_two_step(rng)
         g = rand_spd(rng, 7)
-        re_ = ricci(L, g)
-        rf = ricci(L, g.to_float())
+        re_ = ricci_operator(L, g)
+        rf = ricci_operator(L, g.to_float())
         assert max(abs(float(re_[i][j]) - rf[i][j]) for i in range(7)
                    for j in range(7)) < 1e-9
 
