@@ -247,12 +247,16 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write a positive integer as a^2 * b with b squarefree; returns (a, b)."""
+    """Write a positive integer as a^2 * b with b squarefree; returns (a, b).
+
+    Trial division stops once d^3 exceeds the cofactor m: its prime factors are
+    then all >= d > m^(1/3), so m is 1, p, p^2 or p*q, a square only as p^2.
+    """
     if n <= 0:
         raise ValueError("positive integer required")
     a, b = 1, 1
     d = 2
-    while d * d <= n:
+    while d * d * d <= n:
         if n % d == 0:
             count = 0
             while n % d == 0:
@@ -262,4 +266,7 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             if count % 2:
                 b *= d
         d += 1 if d == 2 else 2
-    return a, b * n
+    root = int_nth_root(n, 2)
+    if root is None:
+        return a, b * n
+    return a * root, b

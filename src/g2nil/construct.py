@@ -26,10 +26,20 @@ from .exterior import DegenerateError, KForm, Mode, resolve_tolerance
 from .g2su3 import TorsionReport, induced_metric, phi_from_coframe, torsion_class
 from ._linalg import gram_schmidt_sq
 from .liealg import LieAlgebra, Metric
-from .structure import (CriterionReport, MetricDecomposition, _orthocomplement_float,
-                        decompose, purely_coclosed_exists, symmetrize_M)
+from .structure import (CriterionReport, MetricDecomposition, decompose, selfdual_exists,
+                        symmetrize_M)
 
 __all__ = ["Construction", "construct", "construct_case1", "construct_case2", "construct_case3"]
+
+# Fixed thresholds of numerical steps on unit-size quantities (verdicts go
+# through `resolve_tolerance`). A unit eigenvector of -B^2 left this short by
+# projecting out the chosen directions repeats one of them:
+_DUPLICATE_DIRECTION = 1e-8
+# the best signed sum of block amplitudes, relative: each amplitude is the
+# square root of an eigenvalue and keeps about half of its digits
+_BLOCK_BALANCE = 1e-7
+# the criterion makes the unit self-dual parts orthogonal, |y1 x y2| ~ 1:
+_COLLINEAR = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +217,7 @@ def _skew_blocks(B: np.ndarray, eps: float):
         for u in ([*kernel] + [x for b in blocks for x in b[:2]]):
             v = v - (u @ v) * u
         nv = np.linalg.norm(v)
-        if nv < 1e-8:
+        if nv < _DUPLICATE_DIRECTION:
             continue
         v = v / nv
         if m < eps * scale:
@@ -240,7 +250,7 @@ def construct_case1(D: MetricDecomposition, purely: bool = True,
             if best_sum is None or total < best_sum:
                 best, best_sum = s, total
         scale = 1.0 + sum(amps)
-        if best_sum > 1e-7 * scale:
+        if best_sum > _BLOCK_BALANCE * scale:
             raise DegenerateError(
                 f"cannot balance the torsion blocks (best residual {best_sum}); "
                 "the metric fails the existence criterion")
@@ -291,17 +301,14 @@ def construct_case2(D: MetricDecomposition, report: CriterionReport | None = Non
     orientation = "+"
     if purely:
         if report is None:
-            report = purely_coclosed_exists(L, gf, tol)
+            report = selfdual_exists(D, tol)
         if not report.exists:
             raise DegenerateError("the metric fails the purely coclosed criterion")
         orientation = report.orientation or "+"
     frame4 = _oriented_plane_frame(D, gf, orientation)
     zs = _orthonormal(D.nprime, gf)
-    # the remaining r-direction: the orthocomplement of the 4-plane inside r
-    rest = _orthocomplement_float(D.rtilde, gf, inside=D.complement)
-    if len(rest) != 1:
-        raise DegenerateError("complement frame collapsed")
-    x = _orthonormal(rest, gf)[0]
+    # the remaining r-direction, g-orthogonal to the 4-plane
+    x = _orthonormal(D.complement[4:], gf)[0]
     Y = _sd_coords(L, gm, zs, frame4, _SIGMA)
     rho = float(np.linalg.norm(Y[0]))
     scale = 1.0 + float(np.max(np.abs(Y)))
@@ -312,7 +319,7 @@ def construct_case2(D: MetricDecomposition, report: CriterionReport | None = Non
             y1, y2 = Y[0] / rho, Y[1] / float(np.linalg.norm(Y[1]))
             e3 = np.cross(y1, y2)
             n3 = np.linalg.norm(e3)
-            if n3 < 1e-10:
+            if n3 < _COLLINEAR:
                 raise DegenerateError("self-dual parts are collinear; criterion violated")
             S = np.column_stack([y1, y2, e3 / n3])
             T = np.column_stack([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
@@ -344,7 +351,7 @@ def construct_case3(D: MetricDecomposition, report: CriterionReport | None = Non
     orientation = "+"
     if purely:
         if report is None:
-            report = purely_coclosed_exists(L, gf, tol)
+            report = selfdual_exists(D, tol)
         if not report.exists:
             raise DegenerateError("the metric fails the purely coclosed criterion")
         orientation = report.orientation or "+"

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._linalg import (Mat, Vec, dot, frac, gram_schmidt_sq, mat_inv, mat_mul, mat_vec, nullspace,
-                      row_space_basis, transpose)
+                      row_space_basis, rref, transpose)
 from .exterior import DegenerateError, G2nilError, KForm, MetricContext, Mode, ModeMismatchError
 
 __all__ = [
@@ -58,6 +58,7 @@ class LieAlgebra:
         # metric-independent invariants, computed on first use
         self._derived: tuple[Vec, ...] | None = None
         self._center: tuple[Vec, ...] | None = None
+        self._adapted: tuple[Vec, ...] | None = None
         self._two_step: bool | None = None
 
     # -- construction ------------------------------------------------------
@@ -203,6 +204,19 @@ class LieAlgebra:
                 self._center = tuple(tuple(Fraction(int(i == j)) for j in range(self.dim))
                                      for i in range(self.dim))
         return self._center
+
+    def _adapted_basis(self) -> tuple[Vec, ...]:
+        """Basis of R^n adapted to n' ⊂ center: the derived basis, then the center
+        and then the coordinate vectors that raise the (exact) rank, i.e. the
+        pivot columns. Metric free, so it orients the metric split alike in both
+        modes; computed once."""
+        if self._adapted is None:
+            n = self.dim
+            units = [tuple(Fraction(int(i == k)) for i in range(n)) for k in range(n)]
+            candidates = (*self.derived_basis(), *self.center_basis(), *units)
+            _reduced, pivots = rref(transpose(candidates))
+            self._adapted = tuple(candidates[j] for j in pivots)
+        return self._adapted
 
     def is_two_step(self) -> bool:
         """Nonabelian with [g, [g, g]] = 0, i.e. derived algebra is central."""

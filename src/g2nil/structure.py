@@ -3,7 +3,12 @@
 Everything is driven by the metric decomposition of a 7-dimensional 2-step
 nilpotent algebra: the derived algebra n' (dimension 1, 2 or 3), its
 orthogonal complement r, and the abelian part a = center ∩ n'-perp, whose
-dimension dim(center) - dim(n') is metric independent.
+dimension dim(center) - dim(n') is metric independent. One Gram-Schmidt pass
+over a metric-independent basis adapted to n' ⊂ center ⊂ R^7 gives orthogonal
+bases of n', a and center-perp in both modes; r is center-perp then a, and the
+canonical 4-plane is its first four vectors. The basis orients the plane, so
+the "+"/"-" label is the same in both modes and is kept by automorphisms that
+preserve the orientations of R^7/n' and center/n'.
 
 Criteria, by dim n':
 
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._linalg import dot, gram_schmidt_sq, nullspace, rational_sqrt
+from ._linalg import gram_schmidt_sq, rational_sqrt
 from ._radicals import Surd
 from .exterior import (DegenerateError, ExactnessError, KForm, Mode,
                        close, form_inner, resolve_tolerance)
@@ -59,10 +64,10 @@ class MetricDecomposition:
     g: Metric
     mode: Mode
     nprime: list          # basis of the derived algebra (always exact)
-    complement: list      # basis of r = orthogonal complement of n'
+    complement: list      # orthogonal basis of r = n'-perp: center-perp, then a
     center: list          # basis of the center (always exact)
-    abelian: list         # basis of a = center ∩ n'-perp
-    rtilde: list          # canonical oriented 4-plane inside r (dim n' in {2,3})
+    abelian: list         # orthogonal basis of a = center ∩ n'-perp
+    rtilde: list          # canonical oriented 4-plane: complement[:4] (dim n' in {2,3})
 
     @property
     def derived_dim(self) -> int:
@@ -71,44 +76,6 @@ class MetricDecomposition:
     @property
     def abelian_dim(self) -> int:
         return len(self.abelian)
-
-
-def _orthocomplement_exact(span_rows, g: Metric, inside=None):
-    """Exact basis of {x : g(x, w) = 0 for w in span}, optionally within a subspace."""
-    if not span_rows:
-        rows = []
-    else:
-        rows = [mat_row for mat_row in
-                (tuple(dot(w, col) for col in zip(*g.rows)) for w in span_rows)]
-    if inside is None:
-        if not rows:
-            n = g.dim
-            return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-        return nullspace(tuple(rows))
-    # coordinates relative to `inside` basis
-    if not rows:
-        return list(inside)
-    reduced = tuple(tuple(dot(r, b) for b in inside) for r in rows)
-    coords = nullspace(reduced)
-    return [tuple(sum(c[k] * inside[k][j] for k in range(len(inside)))
-                  for j in range(g.dim)) for c in coords]
-
-
-def _orthocomplement_float(span_rows, g: Metric, inside=None):
-    import numpy as np
-    gm = np.array([[float(x) for x in row] for row in g.rows])
-    n = g.dim
-    basis = np.eye(n) if inside is None else np.array(
-        [[float(x) for x in v] for v in inside]).T  # columns span the subspace
-    if span_rows:
-        A = np.array([[float(x) for x in w] for w in span_rows]) @ gm @ basis
-        _, s, vt = np.linalg.svd(A)
-        rank = int(np.sum(s > 1e-12 * (s[0] if len(s) else 1.0)))
-        coords = vt[rank:].T
-    else:
-        coords = np.eye(basis.shape[1])
-    vecs = basis @ coords
-    return [tuple(float(x) for x in vecs[:, k]) for k in range(vecs.shape[1])]
 
 
 def decompose(L: LieAlgebra, g: Metric) -> MetricDecomposition:
@@ -124,20 +91,11 @@ def decompose(L: LieAlgebra, g: Metric) -> MetricDecomposition:
         raise UnsupportedAlgebraError(
             f"derived algebra has dimension {len(nprime)}; supported: 1, 2, 3")
     center = L.center_basis()
-    exact = g.mode is Mode.EXACT
-    ortho = _orthocomplement_exact if exact else _orthocomplement_float
-    complement = ortho(nprime, g)
-    abelian = ortho(nprime, g, inside=center)
-    rtilde: list = []
-    if len(nprime) == 3:
-        rtilde = list(complement)  # dim r = 4, the plane is forced
-    elif len(nprime) == 2 and abelian:
-        w0 = ortho(abelian, g, inside=complement)
-        rtilde = list(w0)
-        for a_vec in abelian:
-            if len(rtilde) == 4:
-                break
-            rtilde.append(tuple(a_vec))
+    k, c = len(nprime), len(center)
+    ws, _norms = gram_schmidt_sq([g.as_vector(v) for v in L._adapted_basis()], g.inner)
+    abelian = ws[k:c]
+    complement = ws[c:] + abelian
+    rtilde = complement[:4] if k == 3 or (k == 2 and abelian) else []
     return MetricDecomposition(L, g, g.mode, nprime, complement, center, abelian, rtilde)
 
 
@@ -213,7 +171,8 @@ def _beta_coords(D: MetricDecomposition):
     """
     L, g = D.L, D.g
     zs, p = gram_schmidt_sq([g.as_vector(v) for v in D.nprime], g.inner)
-    ws, q = gram_schmidt_sq([g.as_vector(v) for v in D.rtilde], g.inner)
+    ws = D.rtilde  # g-orthogonal
+    q = [g.inner(w, w) for w in ws]
     k = len(zs)
     # beta_i(w_a, w_b) for a < b
     pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
@@ -389,6 +348,11 @@ def m_matrix(L: LieAlgebra, coframe: Sequence[KForm], g: Metric) -> list[list]:
     return [[form_inner(s, a, g.rows, g.ctx) for a in alphas] for s in sigmas]
 
 
+# P = V diag(±1) U^T is a product of SVD factors: orthogonal to rounding,
+# whatever the verdict tolerance
+_P_ORTHOGONALITY = 1e-12
+
+
 def symmetrize_M(M, tol: float | None = None) -> dict:
     """Find P in O(3) with A = M P symmetric and trace free.
 
@@ -415,7 +379,8 @@ def symmetrize_M(M, tol: float | None = None) -> dict:
     P = Vt.T @ np.diag(signs) @ U.T
     A = Mf @ P
     scale = 1.0 + float(np.max(np.abs(Mf)))
-    if not np.max(np.abs(P @ P.T - np.eye(3))) < 1e-12 * (1.0 + float(np.max(np.abs(P)))):
+    if not (np.max(np.abs(P @ P.T - np.eye(3)))
+            < _P_ORTHOGONALITY * (1.0 + float(np.max(np.abs(P))))):
         raise DegenerateError("symmetrization produced a non-orthogonal P")
     if np.max(np.abs(A - A.T)) > 10 * eps * scale or abs(np.trace(A)) > 10 * eps * scale:
         raise DegenerateError("symmetrization failed numerically")

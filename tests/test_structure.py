@@ -81,10 +81,14 @@ def test_decompose_orthogonality():
             for v in D.complement:
                 for w in D.nprime:
                     assert g.inner(v, w) == 0
-            assert len(D.rtilde) == 4
-            for v in D.rtilde:
-                for w in D.nprime:
+            for i, v in enumerate(D.complement):
+                for w in D.complement[:i]:
                     assert g.inner(v, w) == 0
+            assert len(D.complement) == 7 - D.derived_dim
+            assert D.rtilde == D.complement[:4]
+            units = [tuple(int(i == k) for i in range(7)) for k in range(7)]
+            for a in D.abelian:
+                assert not any(any(L.bracket(a, e)) for e in units)  # central
 
 
 def test_unsupported_algebras_raise():
@@ -234,6 +238,55 @@ def _sheared(diag, rng):
         P[i][j] = rng.choice([-1, 1])
     return Metric([[sum(P[k][i] * diag[k] * P[k][j] for k in range(n)) for j in range(n)]
                    for i in range(n)])
+
+
+def _automorphism(structure, rng):
+    """Grading dilation (t on the generators, t^2 on n') composed with a shear
+    of every generator into n'; catalog algebras have n' spanned by the f_k
+    whose d e^k is nonzero. Columns are the images of the basis vectors."""
+    der = [k for k, eq in enumerate(structure) if eq]
+    t = rng.choice([Fraction(2, 3), Fraction(3, 2)])
+    A = [[Fraction(0)] * 7 for _ in range(7)]
+    for j in range(7):
+        A[j][j] = t * t if j in der else t
+        if j not in der:
+            for k in der:
+                A[k][j] = t * rng.choice([-1, Fraction(1, 2), 1])
+    return A
+
+
+def _pull_back(g, A):
+    """The metric g(A x, A y)."""
+    return Metric([[sum(A[a][i] * g.rows[a][b] * A[b][j] for a in range(7) for b in range(7))
+                    for j in range(7)] for i in range(7)])
+
+
+def _same_pair(x, y):
+    """Equal (lhs, rhs) pairs, up to float rounding when they are floats."""
+    return all(math.isclose(float(a), float(b), rel_tol=1e-9, abs_tol=1e-12)
+               for a, b in zip(x, y))
+
+
+def test_orientation_label_agrees_across_modes_and_automorphisms():
+    # the 4-plane is oriented by a metric-independent adapted basis, so the
+    # S_+ of an exact metric is the S_+ of its float copy and of its pull-back
+    # by an automorphism preserving the orientations of R^7/n' and center/n'
+    rng = random.Random(SEED + 7)
+    checked = 0
+    for entry in catalog.list():
+        L = entry.algebra
+        if entry.derived_dim not in (2, 3) or not decompose(L, Metric.identity(7)).rtilde:
+            continue
+        for _ in range(4):
+            diag = [Fraction(rng.randint(1, 4)) ** 2 / rng.choice([1, 4]) for _ in range(7)]
+            g = _sheared(diag, rng)
+            plus = selfdual_exists(decompose(L, g)).diagnostics["plus"]
+            g_back = _pull_back(g, _automorphism(entry.structure, rng))
+            for h in (g.to_float(), g_back, g_back.to_float()):
+                got = selfdual_exists(decompose(L, h)).diagnostics["plus"]
+                assert _same_pair(got, plus), (entry.name, h.rows)
+            checked += 1
+    assert checked == 44  # 4 case-2 and 7 case-3 algebras
 
 
 def test_float_sd_gram_matches_exact_entries():
