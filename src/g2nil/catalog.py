@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ._linalg import rational_sqrt
-from .exterior import G2nilError, KForm, Mode, form_inner
+from .exterior import G2nilError, KForm, Mode, close, form_inner
 from .g2su3 import G2Structure, torsion_class
 from .liealg import LieAlgebra, Metric, is_nilsoliton
 from .structure import (
@@ -86,8 +86,7 @@ def parse_coefficient(text, params: Mapping[str, object] | None = None,
     when every ingredient is rational and *mode* is Exact, a float otherwise.
     """
     if isinstance(text, (int, Fraction)):
-        value = Fraction(text)
-        return value if mode is Mode.EXACT else float(value)
+        return mode.convert(Fraction(text))
     if isinstance(text, float):
         return text
     m = _COEFF_RE.match(str(text))
@@ -105,15 +104,13 @@ def parse_coefficient(text, params: Mapping[str, object] | None = None,
         if not params or par not in params:
             raise ValueError(f"coefficient {text!r} needs a value for parameter {par!r}")
         pval = params[par]
-        pval = Fraction(pval) if isinstance(pval, (int, Fraction)) else \
-            (Fraction(pval) if isinstance(pval, str) else pval)
-        scalar = scalar * pval
+        scalar = scalar * (Fraction(pval) if isinstance(pval, (int, Fraction, str)) else pval)
     value = sign * scalar
-    if mode is Mode.FLOAT and isinstance(value, Fraction):
-        return float(value)
-    if mode is Mode.EXACT and isinstance(value, float) and float(value).is_integer():
-        return Fraction(int(value))
-    return value
+    if isinstance(value, float):
+        if not value.is_integer():
+            return value  # an exact form rejects it
+        value = int(value)
+    return mode.convert(value)
 
 
 def _coframe_from_rows(rows: Sequence[Sequence], params=None,
@@ -144,8 +141,7 @@ def _sqrt_any(x):
 def _close_or_equal(a, b, tol: float = 1e-12) -> bool:
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a == b
-    fa, fb = float(a), float(b)
-    return abs(fa - fb) <= tol * (1.0 + abs(fa) + abs(fb))
+    return close(float(a), float(b), tol)
 
 
 @dataclass(frozen=True)
@@ -779,15 +775,15 @@ def coframe_from_fixture(data: Mapping, params: Mapping[str, object] | None = No
     return _coframe_from_rows(data["coframe"], params, mode)
 
 
+def _frac_matrix(rows) -> list[list[Fraction]]:
+    return [[Fraction(x) for x in row] for row in rows]
+
+
 def _metric_from_fixture(data: Mapping) -> Metric:
     spec = data["metric"]
     if "diag" in spec:
         return Metric.diagonal([Fraction(x) for x in spec["diag"]])
-    return Metric([[Fraction(x) for x in row] for row in spec["rows"]])
-
-
-def _frac_matrix(rows) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
+    return Metric(_frac_matrix(spec["rows"]))
 
 
 def _row(rid: str, algebra: str, check: str, passed: bool, detail: str) -> dict:
@@ -811,8 +807,7 @@ def _check_obstruction(fx: dict, tol, keep: Callable[[str], bool]) -> Iterable[d
     D = decompose(L, g)
     for key, orient in (("s_plus", 1), ("s_minus", -1)):
         S = sd_gram(D, orientation=orient)
-        want = _frac_matrix(fx[key])
-        if [[Fraction(x) for x in row] for row in S] != want:
+        if _frac_matrix(S) != _frac_matrix(fx[key]):
             problems.append(f"{key} mismatch: computed {S}")
     diag = report.diagnostics
     for side in ("plus", "minus"):
@@ -838,8 +833,7 @@ def _check_pure_coframe(fx: dict, tol, keep: Callable[[str], bool]) -> Iterable[
     if scale_sq == 1:
         struct = G2Structure.from_coframe(coframe)
         gi, _vol = struct.metric, struct.volume
-        if [[Fraction(x) for x in row] for row in gi.rows] != \
-                [[Fraction(x) for x in row] for row in g.rows]:
+        if _frac_matrix(gi.rows) != _frac_matrix(g.rows):
             problems.append("induced metric differs from pinned metric")
         report = torsion_class(L, struct, tol)
         if not report.coclosed:
@@ -863,7 +857,7 @@ def _check_pure_coframe(fx: dict, tol, keep: Callable[[str], bool]) -> Iterable[
     if "m_matrix" in fx:
         M = m_matrix(L, coframe, g)
         want = _frac_matrix(fx["m_matrix"])
-        got = [[Fraction(x) for x in row] for row in M]
+        got = _frac_matrix(M)
         if got != want:
             problems.append(f"m_matrix {got} != pinned {want}")
         else:

@@ -24,7 +24,6 @@ import numpy as np
 
 from .exterior import DegenerateError, KForm, Mode, resolve_tolerance
 from .g2su3 import TorsionReport, induced_metric, phi_from_coframe, torsion_class
-from ._linalg import gram_schmidt_sq
 from .liealg import LieAlgebra, Metric
 from .structure import (CriterionReport, MetricDecomposition, decompose, selfdual_exists,
                         symmetrize_M)
@@ -46,10 +45,14 @@ _COLLINEAR = 1e-10
 # small numerical helpers
 
 
-def _orthonormal(vectors, g: Metric) -> list[np.ndarray]:
-    """Orthonormal frame spanning the (independent) vectors, inner product g."""
-    ortho, q = gram_schmidt_sq([g.as_vector(v) for v in vectors], g.inner)
-    return [np.array(w) / np.sqrt(n) for w, n in zip(ortho, q)]
+def _unit(vectors, norms_sq) -> list[np.ndarray]:
+    """Pairwise g-orthogonal vectors (a decomposition's bases) divided by their
+    norms: an orthonormal frame."""
+    return [np.array(w, dtype=float) / np.sqrt(float(q)) for w, q in zip(vectors, norms_sq)]
+
+
+def _gram(g: Metric) -> np.ndarray:
+    return np.array(g.to_float().rows)
 
 
 def _flat(v: np.ndarray, gm: np.ndarray) -> KForm:
@@ -156,20 +159,12 @@ class Construction:
         }
 
 
-def _float_metric(g: Metric) -> tuple[Metric, np.ndarray]:
-    gf = g if g.mode is Mode.FLOAT else g.to_float()
-    gm = np.array([[float(x) for x in row] for row in gf.rows])
-    return gf, gm
-
-
 def _finish(L: LieAlgebra, g: Metric, coframe, case: int, kind: str,
             tol: float | None) -> Construction:
     eps = resolve_tolerance(tol)
     phi = phi_from_coframe(coframe)
     metric, _vol = induced_metric(phi)
-    _gf, gm = _float_metric(g)
-    residual = float(np.max(np.abs(np.array(
-        [[float(x) for x in row] for row in metric.rows]) - gm)))
+    residual = float(np.max(np.abs(_gram(metric) - _gram(g))))
     report = torsion_class(L, phi, tol=tol)
     if not report.coclosed:
         raise DegenerateError(
@@ -235,9 +230,9 @@ def construct_case1(D: MetricDecomposition, purely: bool = True,
     """Adapted coframe for dim n' = 1; returns the seven 1-forms."""
     eps = resolve_tolerance(tol)
     L = D.L
-    gf, gm = _float_metric(D.g)
-    z = _orthonormal(D.nprime, gf)[0]
-    frame6 = _orthonormal(D.complement, gf)
+    gm = _gram(D.g)
+    z = _unit(D.zs, D.p)[0]
+    frame6 = _unit(D.complement, D.complement_sq)
     B = _beta_matrix(L, gm, z, frame6)
     blocks, kernel = _skew_blocks(B, eps)
     amps = [a for (_v, _w, a) in blocks]
@@ -272,8 +267,8 @@ def construct_case1(D: MetricDecomposition, purely: bool = True,
 # cases 2 and 3
 
 
-def _oriented_plane_frame(D: MetricDecomposition, g: Metric, orientation: str):
-    frame = _orthonormal(D.rtilde, g)
+def _oriented_plane_frame(D: MetricDecomposition, orientation: str):
+    frame = _unit(D.rtilde, D.complement_sq[:4])
     if orientation == "-":
         frame[0] = -frame[0]
     return frame
@@ -295,7 +290,7 @@ def construct_case2(D: MetricDecomposition, report: CriterionReport | None = Non
     """Adapted coframe for dim n' = 2; returns the seven 1-forms."""
     eps = resolve_tolerance(tol)
     L = D.L
-    gf, gm = _float_metric(D.g)
+    gm = _gram(D.g)
     if D.abelian_dim == 0:
         raise DegenerateError("no coclosed structures: the center equals n'")
     orientation = "+"
@@ -305,10 +300,10 @@ def construct_case2(D: MetricDecomposition, report: CriterionReport | None = Non
         if not report.exists:
             raise DegenerateError("the metric fails the purely coclosed criterion")
         orientation = report.orientation or "+"
-    frame4 = _oriented_plane_frame(D, gf, orientation)
-    zs = _orthonormal(D.nprime, gf)
+    frame4 = _oriented_plane_frame(D, orientation)
+    zs = _unit(D.zs, D.p)
     # the remaining r-direction, g-orthogonal to the 4-plane
-    x = _orthonormal(D.complement[4:], gf)[0]
+    x = _unit(D.complement[4:], D.complement_sq[4:])[0]
     Y = _sd_coords(L, gm, zs, frame4, _SIGMA)
     rho = float(np.linalg.norm(Y[0]))
     scale = 1.0 + float(np.max(np.abs(Y)))
@@ -347,7 +342,7 @@ def construct_case3(D: MetricDecomposition, report: CriterionReport | None = Non
                     purely: bool = True, tol: float | None = None) -> list:
     """Adapted coframe for dim n' = 3; returns the seven 1-forms."""
     L = D.L
-    gf, gm = _float_metric(D.g)
+    gm = _gram(D.g)
     orientation = "+"
     if purely:
         if report is None:
@@ -355,8 +350,8 @@ def construct_case3(D: MetricDecomposition, report: CriterionReport | None = Non
         if not report.exists:
             raise DegenerateError("the metric fails the purely coclosed criterion")
         orientation = report.orientation or "+"
-    frame4 = _oriented_plane_frame(D, gf, orientation)
-    zs = _orthonormal(D.nprime, gf)
+    frame4 = _oriented_plane_frame(D, orientation)
+    zs = _unit(D.zs, D.p)
     Y = _sd_coords(L, gm, zs, frame4, _SIGMA)
     M0 = np.sqrt(2.0) * Y.T      # M_mj = <sigma_m, d z_j-flat>
     if purely:
@@ -384,7 +379,7 @@ def construct(L: LieAlgebra, g: Metric, kind: str = "purely",
     """Produce a verified adapted coframe of the requested torsion class."""
     if kind not in ("purely", "coclosed"):
         raise ValueError("kind must be 'purely' or 'coclosed'")
-    gf, _gm = _float_metric(g)
+    gf = g.to_float()
     D = decompose(L, gf)
     purely = kind == "purely"
     if D.derived_dim == 1:

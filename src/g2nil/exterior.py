@@ -9,6 +9,11 @@ Two scalar modes are supported and never mixed:
 * EXACT  — coefficients are int / Fraction; comparisons are literal equality.
 * FLOAT  — coefficients are float; comparisons use a relative tolerance.
 
+`Mode` holds every exact/float difference of the package's arithmetic: its
+zero, the validation and conversion of scalars, division, real roots,
+clearing denominators and the JSON encoding of a scalar. Code elsewhere calls
+these members instead of branching on the mode.
+
 Every verdict in the package goes through one of two rules defined here:
 `Mode.equal` for two scalars and `KForm.is_zero` for a form. Exact mode never
 reads a tolerance; float mode applies `close`, |lhs - rhs| <= tol * scale.
@@ -21,14 +26,13 @@ complementary minors of g's integer matrix (Jacobi's theorem) without inverting 
 from __future__ import annotations
 
 import math
-import operator
 import os
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from numbers import Real
 
-from ._linalg import MinorTable, frac, rational_sqrt
+from ._linalg import MinorTable, frac, rational_root
 
 MAX_DIM = 10
 
@@ -57,6 +61,9 @@ class ToleranceError(G2nilError):
 
 
 class Mode(Enum):
+    """The scalar layer: each member below is the one place that tells the two
+    modes apart."""
+
     EXACT = "exact"
     FLOAT = "float"
 
@@ -65,6 +72,52 @@ class Mode(Enum):
         if self is Mode.EXACT:
             return lhs == rhs
         return close(lhs, rhs, tol, scale)
+
+    @property
+    def zero(self):
+        """The additive identity: int 0 or 0.0."""
+        return 0 if self is Mode.EXACT else 0.0
+
+    def coerce(self, c):
+        """A form coefficient checked for this mode: an int or Fraction kept as
+        it is, or any real number as a float; raises ModeMismatchError."""
+        if self is Mode.EXACT:
+            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                raise ModeMismatchError(f"exact form requires int/Fraction coefficients, got {c!r}")
+            return c
+        if isinstance(c, bool) or not isinstance(c, Real):
+            raise ModeMismatchError(f"float form requires real coefficients, got {c!r}")
+        return float(c)
+
+    def convert(self, x):
+        """x (for instance a metric entry) as a Fraction via `frac`, which
+        also reads strings and rejects floats, or as a float."""
+        return frac(x) if self is Mode.EXACT else float(x)
+
+    def div(self, a, b):
+        """a / b: a Fraction of two rationals, or a float."""
+        return Fraction(a, b) if self is Mode.EXACT else a / b
+
+    def root(self, x, n: int):
+        """The real n-th root of x, negative for odd n and x < 0; None when there
+        is none (even n, x < 0) and, in exact mode, when it is irrational."""
+        if self is Mode.EXACT:
+            return rational_root(x, n)
+        if x < 0 and n % 2 == 0:
+            return None
+        return math.sqrt(x) if n == 2 else math.copysign(abs(x) ** (1.0 / n), x)
+
+    def cleared(self, values) -> tuple[list, int]:
+        """(numerators, d) with values = numerators / d: ints over the lcm of the
+        denominators in exact mode, the values and d = 1 in float mode."""
+        if self is Mode.FLOAT:
+            return values, 1
+        d = math.lcm(*(x.denominator for x in values))
+        return [x.numerator * (d // x.denominator) for x in values], d
+
+    def encode(self, x):
+        """A scalar for JSON: the exact value as a string, or a float."""
+        return str(x) if self is Mode.EXACT else float(x)
 
 
 def parse_tolerance(text) -> float:
@@ -95,18 +148,6 @@ def close(lhs: float, rhs: float, tol: float | None = None,
     if scale is None:
         scale = 1.0 + abs(lhs) + abs(rhs)
     return abs(lhs - rhs) <= resolve_tolerance(tol) * scale
-
-
-def _check_exact_scalar(c):
-    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-        raise ModeMismatchError(f"exact form requires int/Fraction coefficients, got {c!r}")
-    return c
-
-
-def _check_float_scalar(c):
-    if isinstance(c, bool) or not isinstance(c, Real):
-        raise ModeMismatchError(f"float form requires real coefficients, got {c!r}")
-    return float(c)
 
 
 def _mask_from_indices(indices, dim: int) -> tuple[int, int]:
@@ -176,7 +217,7 @@ class KForm:
     @classmethod
     def from_terms(cls, dim: int, degree: int, terms, mode: Mode = Mode.EXACT) -> "KForm":
         """Build from {(i1,...,ik): coefficient}; indices are 1-based."""
-        check = _check_exact_scalar if mode is Mode.EXACT else _check_float_scalar
+        check = mode.coerce
         acc: dict[int, object] = {}
         for idx, c in terms.items():
             if isinstance(idx, int):
@@ -193,8 +234,7 @@ class KForm:
     def basis(cls, dim: int, indices, mode: Mode = Mode.EXACT) -> "KForm":
         if isinstance(indices, int):
             indices = (indices,)
-        one = 1 if mode is Mode.EXACT else 1.0
-        return cls.from_terms(dim, len(indices), {tuple(indices): one}, mode)
+        return cls.from_terms(dim, len(indices), {tuple(indices): 1}, mode)
 
     # -- inspection --------------------------------------------------------
 
@@ -205,10 +245,8 @@ class KForm:
         if isinstance(indices, int):
             indices = (indices,)
         mask, sign = _mask_from_indices(indices, self.dim)
-        if sign == 0:
-            return 0 if self.mode is Mode.EXACT else 0.0
-        zero = 0 if self.mode is Mode.EXACT else 0.0
-        return sign * self._terms.get(mask, zero)
+        zero = self.mode.zero
+        return sign * self._terms.get(mask, zero) if sign else zero
 
     def max_abs(self) -> float:
         return max((abs(float(c)) for c in self._terms.values()), default=0.0)
@@ -265,7 +303,7 @@ class KForm:
     def __mul__(self, scalar) -> "KForm":
         if isinstance(scalar, KForm):
             return NotImplemented
-        c0 = _check_exact_scalar(scalar) if self.mode is Mode.EXACT else _check_float_scalar(scalar)
+        c0 = self.mode.coerce(scalar)
         return KForm(self.dim, self.degree, {m: c * c0 for m, c in self._terms.items()}, self.mode)
 
     __rmul__ = __mul__
@@ -355,7 +393,7 @@ def top_wedge_coeff(a: KForm, b: KForm):
     if a.degree + b.degree != n:
         raise ValueError("degrees do not sum to the dimension")
     full = (1 << n) - 1
-    total = 0 if a.mode is Mode.EXACT else 0.0
+    total = a.mode.zero
     for ma, ca in a._terms.items():
         cb = b._terms.get(full ^ ma)
         if cb is not None:
@@ -364,15 +402,6 @@ def top_wedge_coeff(a: KForm, b: KForm):
 
 
 # -- metric-dependent operations ---------------------------------------------
-
-
-def _cleared(values, mode: Mode) -> tuple[list, int]:
-    """(numerators, d) with values = numerators / d: ints over the lcm of the
-    denominators in exact mode, the values and d = 1 in float mode."""
-    if mode is Mode.FLOAT:
-        return values, 1
-    d = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (d // x.denominator) for x in values], d
 
 
 def _index_sum_odd(mask: int) -> int:
@@ -394,33 +423,31 @@ class MetricContext:
     Every minor of D comes from one `MinorTable` (`_minors`).
     """
 
-    __slots__ = ("mode", "dim", "det_g", "_diag", "_minors", "_d", "_det_d", "_div")
+    __slots__ = ("mode", "dim", "det_g", "_diag", "_minors", "_d", "_det_d")
 
     def __init__(self, g, mode: Mode):
         self.mode = mode
         self.dim = n = len(g)
-        scalar = frac if mode is Mode.EXACT else float
-        entries, self._d = _cleared([scalar(x) for row in g for x in row], mode)
+        entries, self._d = mode.cleared([mode.convert(x) for row in g for x in row])
         if len(entries) != n * n:
             raise ValueError("metric must be square")
         self._diag = not any(x for i, x in enumerate(entries) if i % (n + 1))
-        self._div = Fraction if mode is Mode.EXACT else operator.truediv
         self._minors = MinorTable(tuple(entries[i * n:(i + 1) * n] for i in range(n)))
         self._det_d = self._minors((1 << n) - 1, (1 << n) - 1)
         if self._det_d == 0:
             raise DegenerateError("metric is singular")
-        self.det_g = self._div(self._det_d, self._d ** n)
+        self.det_g = mode.div(self._det_d, self._d ** n)
 
     def sqrt_det(self):
-        if self.mode is Mode.EXACT:
-            r = rational_sqrt(Fraction(self.det_g))
-            if r is None:
-                raise ExactnessError(
-                    f"sqrt(det g) = sqrt({self.det_g}) is irrational; use float mode")
-            return r
+        """sqrt(det g); DegenerateError when det g < 0, and in exact mode
+        ExactnessError when the root is irrational."""
         if self.det_g < 0:
             raise DegenerateError("metric has negative determinant")
-        return math.sqrt(self.det_g)
+        r = self.mode.root(self.det_g, 2)
+        if r is None:
+            raise ExactnessError(
+                f"sqrt(det g) = sqrt({self.det_g}) is irrational; use float mode")
+        return r
 
     def gram_minor(self, rows: tuple[int, ...], cols: tuple[int, ...]):
         """det of the covector-Gram submatrix G[rows, cols]; sorted 1-based indices."""
@@ -430,7 +457,7 @@ class MetricContext:
     def _gram_minor(self, mi: int, mj: int):
         full = (1 << self.dim) - 1
         m = self._minors(full ^ mj, full ^ mi) * self._d ** mi.bit_count()
-        return self._div(-m if _index_sum_odd(mi ^ mj) else m, self._det_d)
+        return self.mode.div(-m if _index_sum_odd(mi ^ mj) else m, self._det_d)
 
 
 def form_inner(a: KForm, b: KForm, g, ctx: MetricContext | None = None):
@@ -440,7 +467,7 @@ def form_inner(a: KForm, b: KForm, g, ctx: MetricContext | None = None):
     if a.mode is not b.mode:
         raise ModeMismatchError("cannot pair exact and float forms")
     ctx = ctx or MetricContext(g, a.mode)
-    total = 0 if a.mode is Mode.EXACT else 0.0
+    total = a.mode.zero
     for ma, ca in a._terms.items():
         for mb, cb in b._terms.items():
             if ctx._diag and ma != mb:
@@ -454,7 +481,8 @@ def hodge(a: KForm, g, orientation: int = 1, ctx: MetricContext | None = None) -
 
     `orientation=+1` declares e^1 ∧ ... ∧ e^n positively oriented;
     `orientation=-1` flips the sign of the star on every degree.
-    Exact mode raises ExactnessError when sqrt(det g) is irrational.
+    A metric with det g < 0 raises DegenerateError in both modes; exact mode
+    raises ExactnessError when sqrt(det g) is irrational.
 
     On a non-diagonal metric, each output coefficient sums a's numerators
     times the minors det D[B^c, J] of `MetricContext` (integers in exact
@@ -475,11 +503,11 @@ def hodge(a: KForm, g, orientation: int = 1, ctx: MetricContext | None = None) -
             mj = full ^ mk
             acc[mj] = _merge_sign(mk, mj) * orientation * root * ck * ctx._gram_minor(mk, mk)
     else:
-        nums, den = _cleared(a._terms.values(), a.mode)
+        nums, den = a.mode.cleared(a._terms.values())
         # (B^c, (-1)^ΣB * numerator of a_B) for each term of a
         signed = [(full ^ mb, -c if _index_sum_odd(mb) else c)
                   for mb, c in zip(a._terms, nums)]
-        factor = orientation * root * ctx._div(ctx._d ** k, den * ctx._det_d)
+        factor = orientation * root * ctx.mode.div(ctx._d ** k, den * ctx._det_d)
         minor = ctx._minors
         for comb in combinations(range(n), n - k):
             mj = sum(1 << i for i in comb)

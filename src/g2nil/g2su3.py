@@ -19,13 +19,12 @@ addition dphi ∧ phi = 0; the scalar torsion is tau0 = (1/7) * (dphi ∧ phi).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from typing import Sequence
 
-from ._linalg import mat_det, rational_root
-from .exterior import (DegenerateError, ExactnessError, KForm, Mode, _cleared, _merge_sign,
-                       hodge, top_wedge_coeff)
+from ._linalg import mat_det
+from .exterior import (DegenerateError, ExactnessError, KForm, Mode, _merge_sign, hodge,
+                       top_wedge_coeff)
 from .liealg import LieAlgebra, Metric
 
 __all__ = [
@@ -47,13 +46,11 @@ STARPHI_PATTERN: tuple[tuple[tuple[int, int, int, int], int], ...] = (
 
 
 def phi_standard(mode: Mode = Mode.EXACT) -> KForm:
-    one = 1 if mode is Mode.EXACT else 1.0
-    return KForm.from_terms(7, 3, {idx: s * one for idx, s in G2_PATTERN}, mode)
+    return KForm.from_terms(7, 3, dict(G2_PATTERN), mode)
 
 
 def starphi_standard(mode: Mode = Mode.EXACT) -> KForm:
-    one = 1 if mode is Mode.EXACT else 1.0
-    return KForm.from_terms(7, 4, {idx: s * one for idx, s in STARPHI_PATTERN}, mode)
+    return KForm.from_terms(7, 4, dict(STARPHI_PATTERN), mode)
 
 
 def phi_from_coframe(coframe: Sequence[KForm]) -> KForm:
@@ -67,7 +64,7 @@ def phi_from_coframe(coframe: Sequence[KForm]) -> KForm:
     out = KForm.zero(7, 3, mode)
     for (i, j, k), s in G2_PATTERN:
         term = coframe[i - 1].wedge(coframe[j - 1]).wedge(coframe[k - 1])
-        out = out + (s if mode is Mode.EXACT else float(s)) * term
+        out = out + s * term
     return out
 
 
@@ -116,23 +113,17 @@ def induced_metric(phi: KForm) -> tuple[Metric, object]:
     if phi.dim != 7 or phi.degree != 3:
         raise ValueError("expected a 3-form in dimension 7")
     mode = phi.mode
-    exact = mode is Mode.EXACT
     # cleared denominators make b6 below an integer matrix in exact mode
-    nums, den = _cleared(phi._terms.values(), mode)
+    nums, den = mode.cleared(phi._terms.values())
     # b = b6 / scale
     scale = 6 * den ** 3
     b6 = _b_matrix(dict(zip(phi._terms, nums)))
-    det_b6 = mat_det(b6)
-    det_b = Fraction(det_b6, scale ** 7) if exact else det_b6 / scale ** 7
+    det_b = mode.div(mat_det(b6), scale ** 7)
     if det_b == 0:
         raise DegenerateError("3-form is degenerate")
-    if exact:
-        vol = rational_root(det_b, 9)
-        if vol is None:
-            raise ExactnessError(
-                f"det(b)^(1/9) is irrational (det b = {det_b}); use float mode")
-    else:
-        vol = (abs(det_b)) ** (1.0 / 9.0) * (1.0 if det_b > 0 else -1.0)
+    vol = mode.root(det_b, 9)
+    if vol is None:
+        raise ExactnessError(f"det(b)^(1/9) is irrational (det b = {det_b}); use float mode")
     factor = 1 / (scale * vol)
     zero = 0 * factor
     metric = Metric([[x * factor if x else zero for x in row] for row in b6], mode)
@@ -182,10 +173,9 @@ class TorsionReport:
     mode: Mode
 
     def to_json(self) -> dict:
-        tau = self.tau0
         return {
             "coclosed": self.coclosed,
-            "tau0": str(tau) if isinstance(tau, Fraction) else float(tau),
+            "tau0": self.mode.encode(self.tau0),
             "purely_coclosed": self.purely_coclosed,
             "calibrates_derived": self.calibrates_derived,
             "residual_coclosed": float(self.residual_coclosed),
@@ -208,8 +198,7 @@ def torsion_class(L: LieAlgebra, phi: KForm | G2Structure,
     dphi = L.ce_diff(phi_form)
     c = top_wedge_coeff(dphi, phi_form)
     # tau0 = (1/7) * *(dphi ∧ phi); *(e^{1..7}) = 1/vol
-    tau0 = (Fraction(c) / (7 * struct.volume)) if struct.mode is Mode.EXACT \
-        else c / (7.0 * struct.volume)
+    tau0 = struct.mode.div(c, 7 * struct.volume)
     scale_tau = max(dphi.max_abs() * phi_form.max_abs(), 1.0)
     res_tau = abs(float(c)) / scale_tau
     purely = coclosed and struct.mode.equal(c, 0, tol, scale_tau)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._linalg import (Mat, Vec, dot, frac, gram_schmidt_sq, mat_inv, mat_mul, mat_vec, nullspace,
+from ._linalg import (Mat, Vec, dot, gram_schmidt_sq, mat_inv, mat_mul, mat_vec, nullspace,
                       row_space_basis, rref, transpose)
 from .exterior import DegenerateError, G2nilError, KForm, MetricContext, Mode, ModeMismatchError
 
@@ -31,9 +31,6 @@ __all__ = [
 
 class UnsupportedAlgebraError(G2nilError):
     """The algebra is outside the supported family (7-dim, 2-step, dim n' <= 3)."""
-
-
-_ZERO = Fraction(0)
 
 
 def _coeff_from_json(c):
@@ -52,9 +49,9 @@ class LieAlgebra:
             if f.mode is not Mode.EXACT or f.dim != self.dim or f.degree != 2:
                 raise ValueError("d must be a list of exact 2-forms, one per covector")
         self.d_forms = tuple(d_forms)
-        self._d_float = None
-        self._brackets: dict[tuple[int, int], Vec] | None = None
-        self._brackets_float: dict[tuple[int, int], tuple[float, ...]] | None = None
+        # per-mode caches: the d e^k and the bracket table in the mode's scalars
+        self._d: dict[Mode, tuple[KForm, ...]] = {}
+        self._brackets: dict[Mode, dict[tuple[int, int], tuple]] = {}
         # metric-independent invariants, computed on first use
         self._derived: tuple[Vec, ...] | None = None
         self._center: tuple[Vec, ...] | None = None
@@ -79,7 +76,7 @@ class LieAlgebra:
         d = []
         for form in self.d_forms:
             d.append([
-                {"idx": list(idx), "c": str(c if isinstance(c, int) else Fraction(c))}
+                {"idx": list(idx), "c": str(c)}
                 for idx, c in form.terms()
             ])
         return {"name": self.name, "dim": self.dim, "d": d}
@@ -101,18 +98,15 @@ class LieAlgebra:
 
     # -- differential and brackets ------------------------------------------
 
-    def _d_for_mode(self, mode: Mode):
-        if mode is Mode.EXACT:
-            return self.d_forms
-        if self._d_float is None:
-            self._d_float = tuple(f.to_float() for f in self.d_forms)
-        return self._d_float
-
     def ce_diff(self, form: KForm) -> KForm:
         """Chevalley-Eilenberg differential, extended as an antiderivation."""
         if form.dim != self.dim:
             raise ValueError("form dimension mismatch")
-        d_basis = self._d_for_mode(form.mode)
+        d_basis = self._d.get(form.mode)
+        if d_basis is None:
+            d_basis = self._d[form.mode] = tuple(
+                KForm(self.dim, 2, {m: form.mode.coerce(c) for m, c in f._terms.items()}, form.mode)
+                for f in self.d_forms)
         out = KForm.zero(self.dim, min(form.degree + 1, self.dim), form.mode)
         for idx, c in form.terms():
             for pos, i in enumerate(idx):
@@ -124,27 +118,18 @@ class LieAlgebra:
                 out = out + (sign * c) * piece
         return out
 
-    def _bracket_table(self, floats: bool = False) -> dict[tuple[int, int], tuple]:
-        """[f_a, f_b] for all basis pairs, as exact (or float) coefficient vectors."""
-        if self._brackets is None:
+    def _bracket_table(self, mode: Mode = Mode.EXACT) -> dict[tuple[int, int], tuple]:
+        """[f_a, f_b] for all basis pairs, as vectors of the mode's scalars
+        (Fraction or float); built once per mode."""
+        table = self._brackets.get(mode)
+        if table is None:
             n = self.dim
-            table = {(i, i): (Fraction(0),) * n for i in range(1, n + 1)}
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    v = [Fraction(0)] * n
-                    for k, form in enumerate(self.d_forms):
-                        c = form.coeff((i, j))
-                        if c:
-                            v[k] = -Fraction(c)
-                    table[(i, j)] = tuple(v)
-                    table[(j, i)] = tuple(-x for x in v)
-            self._brackets = table
-        if not floats:
-            return self._brackets
-        if self._brackets_float is None:
-            self._brackets_float = {key: tuple(float(c) for c in w)
-                                    for key, w in self._brackets.items()}
-        return self._brackets_float
+            cols = {(i, j): [mode.convert(0)] * n for i in range(1, n + 1) for j in range(1, n + 1)}
+            for k, form in enumerate(self.d_forms):
+                for (i, j), c in form.terms():
+                    cols[(i, j)][k], cols[(j, i)][k] = mode.convert(-c), mode.convert(c)
+            table = self._brackets[mode] = {ij: tuple(v) for ij, v in cols.items()}
+        return table
 
     def bracket_basis(self, a: int, b: int) -> Vec:
         """[f_a, f_b] as a coefficient vector (a, b are 1-based)."""
@@ -155,17 +140,17 @@ class LieAlgebra:
 
         The first nonzero coefficient (of x, else of y, else x[0]) sets the
         mode. If it is a float (numpy's float64 included), the result is a
-        vector of Python floats read off a float copy of the bracket table;
-        otherwise the result is exact, and `frac` rejects any later float.
+        vector of Python floats read off the float bracket table; otherwise
+        the result is exact, and `Mode.convert` rejects any later float.
         """
         xs = [(i, c) for i, c in enumerate(x, 1) if c]
         ys = [(j, c) for j, c in enumerate(y, 1) if c]
-        floats = isinstance(xs[0][1] if xs else ys[0][1] if ys else x[0], float)
-        coerce, zero = (float, 0.0) if floats else (frac, _ZERO)
-        table = self._bracket_table(floats)
-        xs = [(i, coerce(c)) for i, c in xs]
-        ys = [(j, coerce(c)) for j, c in ys]
-        out = [zero] * self.dim
+        first = xs[0][1] if xs else ys[0][1] if ys else x[0]
+        mode = Mode.FLOAT if isinstance(first, float) else Mode.EXACT
+        table = self._bracket_table(mode)
+        xs = [(i, mode.convert(c)) for i, c in xs]
+        ys = [(j, mode.convert(c)) for j, c in ys]
+        out = [mode.convert(0)] * self.dim
         for i, ci in xs:
             for j, cj in ys:
                 if i != j:
@@ -241,7 +226,7 @@ class Metric:
         if mode is None:
             mode = Mode.FLOAT if _has_float(data) else Mode.EXACT
         self.mode = mode
-        self._scalar = frac if mode is Mode.EXACT else float
+        self._scalar = mode.convert
         self.rows: Mat = tuple(tuple(map(self._scalar, row)) for row in data)
         self.dim = len(self.rows)
         if any(len(r) != self.dim for r in self.rows):
@@ -313,9 +298,7 @@ class Metric:
         return Metric([[float(x) for x in row] for row in self.rows], Mode.FLOAT)
 
     def to_json(self) -> dict:
-        if self.mode is Mode.EXACT:
-            return {"g": [[str(x) for x in row] for row in self.rows]}
-        return {"g": [[float(x) for x in row] for row in self.rows]}
+        return {"g": [[self.mode.encode(x) for x in row] for row in self.rows]}
 
     @classmethod
     def from_json(cls, data: dict) -> "Metric":
@@ -364,7 +347,7 @@ def ricci_operator(L: LieAlgebra, g: Metric):
     zs, p = gram_schmidt_sq([g.as_vector(z) for z in L.derived_basis()], g.inner)
     g_inv = mat_inv(g.rows)
     gz = [mat_vec(g.rows, z) for z in zs]
-    table = L._bracket_table(g.mode is Mode.FLOAT)
+    table = L._bracket_table(g.mode)
     A = [mat_mul(g_inv, tuple(tuple(dot(w, table[(a, b)]) for b in range(1, n + 1))
                               for a in range(1, n + 1)))
          for w in gz]
@@ -392,10 +375,9 @@ class NilsolitonReport:
     mode: Mode
 
     def to_json(self) -> dict:
-        lam = self.soliton_constant
         return {
             "is_nilsoliton": self.is_nilsoliton,
-            "soliton_constant": str(lam) if isinstance(lam, Fraction) else float(lam),
+            "soliton_constant": self.mode.encode(self.soliton_constant),
             "residual": float(self.residual),
             "mode": self.mode.value,
         }

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._linalg import gram_schmidt_sq, rational_sqrt
+from ._linalg import gram_schmidt_sq
 from ._radicals import Surd
 from .exterior import (DegenerateError, ExactnessError, KForm, Mode,
                        close, form_inner, resolve_tolerance)
@@ -68,6 +68,9 @@ class MetricDecomposition:
     center: list          # basis of the center (always exact)
     abelian: list         # orthogonal basis of a = center ∩ n'-perp
     rtilde: list          # canonical oriented 4-plane: complement[:4] (dim n' in {2,3})
+    zs: list              # orthogonal basis of n': Gram-Schmidt of nprime
+    p: list               # squared norms of zs
+    complement_sq: list   # squared norms of complement
 
     @property
     def derived_dim(self) -> int:
@@ -92,11 +95,13 @@ def decompose(L: LieAlgebra, g: Metric) -> MetricDecomposition:
             f"derived algebra has dimension {len(nprime)}; supported: 1, 2, 3")
     center = L.center_basis()
     k, c = len(nprime), len(center)
-    ws, _norms = gram_schmidt_sq([g.as_vector(v) for v in L._adapted_basis()], g.inner)
+    # the adapted basis starts with nprime, so ws[:k] is Gram-Schmidt of nprime
+    ws, norms = gram_schmidt_sq([g.as_vector(v) for v in L._adapted_basis()], g.inner)
     abelian = ws[k:c]
     complement = ws[c:] + abelian
     rtilde = complement[:4] if k == 3 or (k == 2 and abelian) else []
-    return MetricDecomposition(L, g, g.mode, nprime, complement, center, abelian, rtilde)
+    return MetricDecomposition(L, g, g.mode, nprime, complement, center, abelian, rtilde,
+                               ws[:k], norms[:k], norms[c:] + norms[k:c])
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +174,8 @@ def _beta_coords(D: MetricDecomposition):
     times sqrt(Q); Q = product of the plane basis squared norms. All exact
     (or float, following the metric mode). beta_i(x, y) = -g(z_i, [x, y]).
     """
-    L, g = D.L, D.g
-    zs, p = gram_schmidt_sq([g.as_vector(v) for v in D.nprime], g.inner)
-    ws = D.rtilde  # g-orthogonal
-    q = [g.inner(w, w) for w in ws]
+    L, g, zs, p = D.L, D.g, D.zs, D.p
+    ws, q = D.rtilde, D.complement_sq[:4]
     k = len(zs)
     # beta_i(w_a, w_b) for a < b
     pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
@@ -188,11 +191,10 @@ def _beta_coords(D: MetricDecomposition):
     return p, K, W, Q
 
 
-# square roots in each mode's scalar type: `_SQRT` keeps exact roots symbolic
-# for `sd_gram`; `_ROOT` gives None for an irrational exact root, found without
-# factoring (`Surd.sqrt` factors the radicand by trial division)
+# `sd_gram` keeps irrational exact roots symbolic; the verdicts use
+# `Mode.root`, which finds an irrational exact root without factoring
+# (`Surd.sqrt` factors the radicand by trial division)
 _SQRT = {Mode.EXACT: Surd.sqrt, Mode.FLOAT: math.sqrt}
-_ROOT = {Mode.EXACT: rational_sqrt, Mode.FLOAT: math.sqrt}
 
 
 def _x_matrix(K, W, root, s: int):
@@ -219,7 +221,7 @@ def _trace_identity(p, K, W, Q, mode: Mode, tol):
     tuple: Fractions when sqrt(T) is rational, floats otherwise.
     """
     T = 1 / Q
-    root = _ROOT[mode](T)
+    root = mode.root(T, 2)
     irrational = root is None
     if irrational:
         root = math.sqrt(T)
@@ -239,14 +241,6 @@ def _trace_identity(p, K, W, Q, mode: Mode, tol):
         verdicts["+"] = A * A + B * B * T == 2 * C and A * B == E
     orient = "+" if verdicts["+"] else ("-" if verdicts["-"] else None)
     return orient is not None, orient, pairs
-
-
-def _plane_witness(D: MetricDecomposition, orient) -> dict:
-    if D.mode is Mode.EXACT:
-        plane = [[str(x) for x in v] for v in D.rtilde]
-    else:
-        plane = [[float(x) for x in v] for v in D.rtilde]
-    return {"rtilde": plane, "orientation": orient}
 
 
 def _identity_diagnostics(orient, pairs) -> dict:
@@ -293,7 +287,8 @@ def selfdual_exists(D: MetricDecomposition, tol: float | None = None) -> Criteri
                                 "reason": "no coclosed structures: center equals "
                                           "the derived algebra"}, D.mode)
     exists, orient, pairs = _trace_identity(*_beta_coords(D), D.mode, tol)
-    witness = _plane_witness(D, orient) if exists else None
+    witness = {"rtilde": [[D.mode.encode(x) for x in v] for v in D.rtilde],
+               "orientation": orient} if exists else None
     return CriterionReport(case, "purely", exists, orient, witness,
                            _identity_diagnostics(orient, pairs), D.mode)
 

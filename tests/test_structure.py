@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from g2nil import catalog
+from g2nil._linalg import gram_schmidt_sq
 from g2nil._radicals import Surd
 from g2nil.exterior import (DegenerateError, ExactnessError, KForm, Mode, ToleranceError,
                             form_inner)
@@ -89,6 +90,18 @@ def test_decompose_orthogonality():
             units = [tuple(int(i == k) for i in range(7)) for k in range(7)]
             for a in D.abelian:
                 assert not any(any(L.bracket(a, e)) for e in units)  # central
+
+
+def test_decomposition_keeps_its_gram_schmidt_data():
+    # the orthogonal basis of n' with its squared norms, and the complement's
+    # squared norms, as `_beta_coords` and `construct` read them
+    rng = random.Random(SEED + 20)
+    for L in (H7, H3C_R, N6_3_R, N7_3_D):
+        g = rand_spd(rng)
+        for gm in (g, g.to_float()):
+            D = decompose(L, gm)
+            assert (D.zs, D.p) == gram_schmidt_sq([gm.as_vector(v) for v in D.nprime], gm.inner)
+            assert D.complement_sq == [gm.norm_sq(w) for w in D.complement]
 
 
 def test_unsupported_algebras_raise():
