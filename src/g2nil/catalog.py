@@ -117,9 +117,8 @@ def _coframe_from_rows(rows: Sequence[Sequence], params=None,
                        mode: Mode = Mode.EXACT) -> list[KForm]:
     out = []
     for row in rows:
-        coeffs = {(i + 1,): parse_coefficient(c, params, mode)
-                  for i, c in enumerate(row)
-                  if parse_coefficient(c, params, mode) != 0}
+        values = (parse_coefficient(c, params, mode) for c in row)
+        coeffs = {(i + 1,): x for i, x in enumerate(values) if x != 0}
         out.append(KForm.from_terms(7, 1, coeffs, mode))
     return out
 
@@ -832,8 +831,7 @@ def _check_pure_coframe(fx: dict, tol, keep: Callable[[str], bool]) -> Iterable[
 
     if scale_sq == 1:
         struct = G2Structure.from_coframe(coframe)
-        gi, _vol = struct.metric, struct.volume
-        if _frac_matrix(gi.rows) != _frac_matrix(g.rows):
+        if _frac_matrix(struct.metric.rows) != _frac_matrix(g.rows):
             problems.append("induced metric differs from pinned metric")
         report = torsion_class(L, struct, tol)
         if not report.coclosed:

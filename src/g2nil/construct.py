@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exterior import DegenerateError, KForm, Mode, resolve_tolerance
-from .g2su3 import TorsionReport, induced_metric, phi_from_coframe, torsion_class
+from .g2su3 import G2Structure, TorsionReport, torsion_class
 from .liealg import LieAlgebra, Metric
 from .structure import (CriterionReport, MetricDecomposition, decompose, selfdual_exists,
                         symmetrize_M)
@@ -162,10 +162,9 @@ class Construction:
 def _finish(L: LieAlgebra, g: Metric, coframe, case: int, kind: str,
             tol: float | None) -> Construction:
     eps = resolve_tolerance(tol)
-    phi = phi_from_coframe(coframe)
-    metric, _vol = induced_metric(phi)
-    residual = float(np.max(np.abs(_gram(metric) - _gram(g))))
-    report = torsion_class(L, phi, tol=tol)
+    struct = G2Structure.from_coframe(coframe)
+    residual = float(np.max(np.abs(_gram(struct.metric) - _gram(g))))
+    report = torsion_class(L, struct, tol=tol)
     if not report.coclosed:
         raise DegenerateError(
             f"constructed coframe is not coclosed (residual {report.residual_coclosed})")
@@ -174,7 +173,7 @@ def _finish(L: LieAlgebra, g: Metric, coframe, case: int, kind: str,
             f"constructed coframe is not purely coclosed (tau0 {report.tau0})")
     if residual > 100 * eps:
         raise DegenerateError(f"induced metric drifts from the input ({residual})")
-    return Construction(case, kind, list(coframe), phi, report, residual)
+    return Construction(case, kind, list(coframe), struct.phi, report, residual)
 
 
 def _beta_matrix(L: LieAlgebra, gm: np.ndarray, z: np.ndarray, frame) -> np.ndarray:

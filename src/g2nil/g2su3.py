@@ -11,7 +11,12 @@ G2-structure iff the symmetric form
 
 normalizes to a positive-definite metric g = b * det(b)^{-1/9}; the signed
 coefficient det(b)^{1/9} of e^{1..7} is the volume, and its sign fixes the
-orientation used by the Hodge star.
+orientation used by the Hodge star; `G2Structure.from_phi` takes this route.
+`G2Structure.from_coframe` needs none of it: a coframe theta = C e has
+g = C^T C and volume det C, and in the SU(3) split phi = omega ∧ theta^7 + psi_+
+(omega = theta^12 + theta^34 + theta^56) the 4-form is the pulled-back model
+one, *phi = (1/2) omega ∧ omega + psi_- ∧ theta^7 with
+psi_- = theta^136 + theta^145 + theta^235 - theta^246 (Bryant 2005).
 
 Torsion: the structure is coclosed iff d(*phi) = 0 and purely coclosed iff in
 addition dphi ∧ phi = 0; the scalar torsion is tau0 = (1/7) * (dphi ∧ phi).
@@ -22,9 +27,9 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
-from ._linalg import mat_det
-from .exterior import (DegenerateError, ExactnessError, KForm, Mode, _merge_sign, hodge,
-                       top_wedge_coeff)
+from ._linalg import mat_det, mat_mul, transpose
+from .exterior import (DegenerateError, ExactnessError, KForm, Mode, ModeMismatchError,
+                       _merge_sign, hodge, top_wedge_coeff)
 from .liealg import LieAlgebra, Metric
 
 __all__ = [
@@ -53,19 +58,41 @@ def starphi_standard(mode: Mode = Mode.EXACT) -> KForm:
     return KForm.from_terms(7, 4, dict(STARPHI_PATTERN), mode)
 
 
-def phi_from_coframe(coframe: Sequence[KForm]) -> KForm:
-    """Adapted 3-form of a coframe (seven 1-forms, declared orthonormal)."""
+def _cleared_coframe(coframe: Sequence[KForm]) -> tuple[list[KForm], int]:
+    """(N, den) with theta^i = N^i / den: integer forms over one denominator in
+    exact mode, the forms themselves and den = 1 in float mode."""
     if len(coframe) != 7:
         raise ValueError("a coframe consists of seven 1-forms")
     mode = coframe[0].mode
     for c in coframe:
         if c.degree != 1 or c.dim != 7:
             raise ValueError("coframe entries must be 1-forms in dimension 7")
-    out = KForm.zero(7, 3, mode)
+        if c.mode is not mode:
+            raise ModeMismatchError("cannot combine exact and float forms")
+    nums, den = mode.cleared([x for c in coframe for x in c._terms.values()])
+    nums = iter(nums)
+    return [KForm(7, 1, {m: next(nums) for m in c._terms}, mode) for c in coframe], den
+
+
+def _over(form: KForm, d: int) -> KForm:
+    """form / d; d = 1 (float mode, an integer coframe) keeps the form as it is."""
+    return form if d == 1 else form * form.mode.div(1, d)
+
+
+def _pullback_phi(t: Sequence[KForm]) -> tuple[KForm, dict]:
+    """phi = omega ∧ theta^7 + psi_+ of 1-forms t, term by term in G2_PATTERN's
+    order, and the 2-forms theta^ij of its terms (theta^ijk = theta^ij ∧ theta^k)."""
+    pairs = {(i, j): t[i - 1].wedge(t[j - 1]) for (i, j, _k), _s in G2_PATTERN}
+    phi = KForm.zero(7, 3, t[0].mode)
     for (i, j, k), s in G2_PATTERN:
-        term = coframe[i - 1].wedge(coframe[j - 1]).wedge(coframe[k - 1])
-        out = out + s * term
-    return out
+        phi = phi + s * pairs[i, j].wedge(t[k - 1])
+    return phi, pairs
+
+
+def phi_from_coframe(coframe: Sequence[KForm]) -> KForm:
+    """Adapted 3-form of a coframe (seven 1-forms, declared orthonormal)."""
+    t, den = _cleared_coframe(coframe)
+    return _over(_pullback_phi(t)[0], den ** 3)
 
 
 @cache
@@ -133,33 +160,45 @@ def induced_metric(phi: KForm) -> tuple[Metric, object]:
 
 
 class G2Structure:
-    """A nondegenerate 3-form with its induced metric, volume and Hodge star."""
+    """A nondegenerate 3-form with its induced metric, volume and 4-form *phi."""
 
-    def __init__(self, phi: KForm, metric: Metric, volume):
+    def __init__(self, phi: KForm, metric: Metric, volume, starphi: KForm):
         self.phi = phi
         self.metric = metric
         self.volume = volume
+        self.starphi = starphi
         self.mode = phi.mode
         self.orientation = 1 if volume > 0 else -1
-        self._starphi: KForm | None = None
 
     @classmethod
     def from_phi(cls, phi: KForm) -> "G2Structure":
+        """The metric and volume induced by phi, and *phi by the Hodge star."""
         metric, vol = induced_metric(phi)
-        return cls(phi, metric, vol)
+        return cls(phi, metric, vol, hodge(phi, metric.rows, 1 if vol > 0 else -1, metric.ctx))
 
     @classmethod
     def from_coframe(cls, coframe: Sequence[KForm]) -> "G2Structure":
-        return cls.from_phi(phi_from_coframe(coframe))
+        """The structure of a coframe theta = C e: g = C^T C, volume det C, and phi,
+        *phi as pull-backs of the model forms; DegenerateError when det C = 0."""
+        t, den = _cleared_coframe(coframe)
+        mode = t[0].mode
+        N = tuple(tuple(f._terms.get(1 << j, mode.zero) for j in range(7)) for f in t)
+        det = mat_det(N)
+        if not det:
+            raise DegenerateError("coframe is degenerate")
+        gram = mat_mul(transpose(N), N)
+        if den != 1:
+            gram = [[mode.div(x, den * den) for x in row] for row in gram]
+        phi, p = _pullback_phi(t)
+        # *phi = (1/2) omega ∧ omega + psi_- ∧ theta^7 from phi's 2-forms theta^ij
+        star = (p[1, 2].wedge(p[3, 4]) + p[1, 2].wedge(p[5, 6]) + p[3, 4].wedge(p[5, 6])
+                + (p[1, 3] - p[2, 4]).wedge(t[5].wedge(t[6]))
+                + (p[1, 4] + p[2, 3]).wedge(t[4].wedge(t[6])))
+        return cls(_over(phi, den ** 3), Metric(gram, mode),
+                   det if den == 1 else mode.div(det, den ** 7), _over(star, den ** 4))
 
     def hodge(self, form: KForm) -> KForm:
         return hodge(form, self.metric.rows, self.orientation, self.metric.ctx)
-
-    @property
-    def starphi(self) -> KForm:
-        if self._starphi is None:
-            self._starphi = self.hodge(self.phi)
-        return self._starphi
 
 
 @dataclass

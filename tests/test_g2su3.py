@@ -6,7 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from g2nil import catalog
 from g2nil.exterior import DegenerateError, ExactnessError, KForm, Mode, top_wedge_coeff
 from g2nil.g2su3 import (
     G2Structure,
@@ -26,12 +29,16 @@ def rand_frac(rng, lo=-2, hi=2, den=3):
     return Fraction(rng.randint(lo * den, hi * den), den)
 
 
+def _forms(rows, mode=Mode.EXACT):
+    return [KForm.from_terms(7, 1, {(j + 1,): x for j, x in enumerate(row) if x}, mode)
+            for row in rows]
+
+
 def rand_coframe(rng, draws=50):
     """A random invertible rational coframe; fails after `draws` rejected draws."""
     for _ in range(draws):
         A = [[rand_frac(rng) for _ in range(7)] for _ in range(7)]
-        cof = [KForm.from_terms(7, 1, {(j + 1,): A[i][j] for j in range(7) if A[i][j]})
-               for i in range(7)]
+        cof = _forms(A)
         try:
             G2Structure.from_coframe(cof)  # probes invertibility
             return A, cof
@@ -68,6 +75,108 @@ def test_induced_metric_is_gram_of_coframe():
         AtA = [[sum(A[k][i] * A[k][j] for k in range(7)) for j in range(7)]
                for i in range(7)]
         assert [list(r) for r in struct.metric.rows] == AtA
+
+
+def _rows(coframe):
+    return [[f.coeff(j) for j in range(1, 8)] for f in coframe]
+
+
+def _shear_automorphism(structure, rng):
+    """f_j -> f_j + sum_k s_kj f_k for every generator f_j, over the f_k spanning
+    n' (those whose d e^k is nonzero); columns are the images of the basis."""
+    der = [k for k, eq in enumerate(structure) if eq]
+    A = [[Fraction(int(i == j)) for j in range(7)] for i in range(7)]
+    for j in range(7):
+        if j not in der:
+            for k in der:
+                A[k][j] = rng.choice([-1, Fraction(1, 2), 1])
+    return A
+
+
+def _cross_check_coframes():
+    """The random coframes, the unscaled pure-coframe fixtures composed with a
+    shear automorphism, and a coframe of negative orientation."""
+    rng = random.Random(SEED + 11)
+    out = [rand_coframe(rng)[1] for _ in range(15)]
+    for name in catalog.fixture_names():
+        fx = catalog.load_fixture(name)
+        if fx["kind"] != "pure_coframe" or Fraction(fx.get("scale_sq", 1)) != 1:
+            continue
+        A = _shear_automorphism(catalog.get(fx["algebra"]).structure, rng)
+        C = _rows(catalog.coframe_from_fixture(fx))
+        out.append(_forms([[sum(C[i][k] * A[k][j] for k in range(7)) for j in range(7)]
+                           for i in range(7)]))
+    e = [KForm.basis(7, i) for i in range(1, 8)]
+    out.append([e[0] + e[3], -e[1]] + e[2:])
+    return out
+
+
+def _rel_gap(a, b) -> float:
+    """max |a - b| over the entries of two scalar lists, relative to max |a|."""
+    return max(abs(float(x) - float(y)) for x, y in zip(a, b)) / max(abs(float(x)) for x in a)
+
+
+def _form_entries(a: KForm, b: KForm) -> tuple[list, list]:
+    masks = sorted(set(a._terms) | set(b._terms))
+    return ([a._terms.get(m, 0.0) for m in masks], [b._terms.get(m, 0.0) for m in masks])
+
+
+def test_coframe_route_matches_the_phi_round_trip():
+    """from_coframe (g = C^T C, vol = det C, *phi pulled back) against from_phi
+    (b-matrix, 9th root, Hodge star) of the same coframe's phi, exactly.
+
+    In float mode the coframe route is held to the exact values. The float
+    from_phi route is no reference there: its Hodge star reads Laplace-expanded
+    minors of g and misses the exact *phi of one random coframe below by about 2e-10.
+    """
+    coframes = _cross_check_coframes()
+    assert len(coframes) == 15 + 10 + 1
+    assert G2Structure.from_coframe(coframes[-1]).orientation == -1
+    for cof in coframes:
+        direct = G2Structure.from_coframe(cof)
+        ref = G2Structure.from_phi(phi_from_coframe(cof))
+        assert direct.phi == ref.phi
+        assert direct.metric.rows == ref.metric.rows
+        assert direct.volume == ref.volume
+        assert direct.orientation == ref.orientation
+        assert direct.starphi == ref.starphi
+
+        flt = G2Structure.from_coframe([f.to_float() for f in cof])
+        assert flt.mode is Mode.FLOAT and flt.orientation == direct.orientation
+        for pair in (_form_entries(direct.phi.to_float(), flt.phi),
+                     _form_entries(direct.starphi.to_float(), flt.starphi),
+                     ([x for r in direct.metric.rows for x in r],
+                      [x for r in flt.metric.rows for x in r]),
+                     ([direct.volume], [flt.volume])):
+            assert _rel_gap(*pair) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_singular_coframe_is_degenerate_in_both_modes(mode):
+    rows = [[int(i == j) for j in range(7)] for i in range(7)]
+    rows[6] = [1, 1, 0, 0, 0, 0, 0]   # theta^7 = theta^1 + theta^2
+    with pytest.raises(DegenerateError, match="degenerate"):
+        G2Structure.from_coframe(_forms(rows, mode))
+
+
+_HOMOTHETY_BASE = (rand_coframe(random.Random(SEED + 5))[1],
+                   catalog.coframe_from_fixture(catalog.load_fixture("n7_3_B_pure.json")))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(bool),
+       which=st.sampled_from(range(len(_HOMOTHETY_BASE))))
+def test_coframe_homothety(lam, which):
+    """theta -> lam * theta scales phi by lam^3, *phi by lam^4, g by lam^2 and
+    the volume by lam^7, exactly."""
+    cof = _HOMOTHETY_BASE[which]
+    base = G2Structure.from_coframe(cof)
+    scaled = G2Structure.from_coframe([lam * f for f in cof])
+    assert scaled.phi == lam ** 3 * base.phi
+    assert scaled.starphi == lam ** 4 * base.starphi
+    assert scaled.metric.rows == tuple(tuple(lam ** 2 * x for x in r) for r in base.metric.rows)
+    assert scaled.volume == lam ** 7 * base.volume
+    assert scaled.orientation == (1 if lam > 0 else -1) * base.orientation
 
 
 def _textbook_b(phi):
