@@ -240,12 +240,6 @@ def rational_root(x: Fraction, n: int) -> Fraction | None:
     return Fraction(sign * p, q)
 
 
-def rational_sqrt(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
-    return rational_root(x, 2)
-
-
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write a positive integer as a^2 * b with b squarefree; returns (a, b).
 

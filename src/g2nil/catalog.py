@@ -31,8 +31,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ._linalg import rational_sqrt
-from .exterior import G2nilError, KForm, Mode, close, form_inner
+from .exterior import G2nilError, KForm, Mode, form_inner
 from .g2su3 import G2Structure, torsion_class
 from .liealg import LieAlgebra, Metric, is_nilsoliton
 from .structure import (
@@ -127,22 +126,6 @@ def _coframe_from_rows(rows: Sequence[Sequence], params=None,
 # metric families
 # --------------------------------------------------------------------------
 
-def _sqrt_any(x):
-    """Exact square root when x is a rational perfect square, else float."""
-    if isinstance(x, Fraction):
-        r = rational_sqrt(x)
-        if r is not None:
-            return r
-        return float(x) ** 0.5
-    return float(x) ** 0.5
-
-
-def _close_or_equal(a, b, tol: float = 1e-12) -> bool:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a == b
-    return close(float(a), float(b), tol)
-
-
 @dataclass(frozen=True)
 class MetricFamily:
     """A parameterized diagonal-plus-block metric template for one algebra.
@@ -187,8 +170,8 @@ class MetricFamily:
 
     def purely_condition(self, **params) -> bool:
         v = self._values(params)
-        self.metric(**params)   # enforce the domain
-        return _FAMILY_CONDITIONS[self.name](v)
+        g = self.metric(**params)   # enforces the domain and fixes the mode
+        return _FAMILY_CONDITIONS[self.name](v, g.mode)
 
     def to_json(self) -> dict:
         return {
@@ -251,60 +234,59 @@ def _n5_2_rows(v):
     return _diag_rows([1, 1, 1, 1, v["E"], v["G"], 1])
 
 
-def _never(v) -> bool:
+# Each condition below is the paper's closed form with its square roots squared
+# away: the two branches of a family become one polynomial identity in the
+# parameters, so exact mode decides it over the rationals with `Mode.equal`.
+# A verdict depends on an inner block (E, F, G) only through G/E and F/E, so
+# the identities are read in those ratios and a float block's scale does not
+# meet close()'s absolute floor.
+
+def _never(v, mode: Mode) -> bool:
     return False
 
 
-def _heis5_cond(v) -> bool:
-    return _close_or_equal(v["r"], v["s"])
+def _heis5_cond(v, mode: Mode) -> bool:
+    return mode.equal(v["r"], v["s"])
 
 
-def _heis7_cond(v) -> bool:
-    x = sorted((v["r"], v["s"], v["t"]), key=float)
-    return _close_or_equal(1 / x[0], 1 / x[1] + 1 / x[2])
+def _heis7_cond(v, mode: Mode) -> bool:
+    # 1/x = 1/y + 1/z forces x to be the smallest, so try each rotation
+    r, s, t = v["r"], v["s"], v["t"]
+    return any(mode.equal(1 / x, 1 / y + 1 / z)
+               for x, y, z in ((r, s, t), (s, t, r), (t, r, s)))
 
 
-def _h3c_cond(v) -> bool:
+def _h3c_cond(v, mode: Mode) -> bool:
     r, s, E, F, G = (v[k] for k in ("r", "s", "E", "F", "G"))
-    if _close_or_equal(r, 1) and _close_or_equal(s, 1):
+    if mode.equal(r, 1) and mode.equal(s, 1):
         # both structure covectors are anti-self-dual for one orientation,
         # so the torsion Gram matrix vanishes for every inner block
         return True
-    if not _close_or_equal(F, 0):
-        return False
-    sr, ss, srs = _sqrt_any(r), _sqrt_any(s), _sqrt_any(r * s)
-    plus = E * ((srs + 1) / (sr + ss)) ** 2
-    if _close_or_equal(G, plus):
-        return True
-    if _close_or_equal(r, s):
-        return False
-    minus = E * ((srs - 1) / (sr - ss)) ** 2
-    return _close_or_equal(G, minus)
+    # with g = G/E, g (sqrt r +- sqrt s)^2 = (sqrt(rs) +- 1)^2 reads
+    # g(r + s) - rs - 1 = -+2 sqrt(rs) (g - 1); at r = s != 1 only the plus
+    # branch has a solution, and the squared identity keeps only it
+    g = G / E
+    return mode.equal(F / E, 0) and mode.equal(
+        (g * (r + s) - r * s - 1) ** 2, 4 * r * s * (g - 1) ** 2)
 
 
-def _h3h3_cond(v) -> bool:
+def _h3h3_cond(v, mode: Mode) -> bool:
     a, b, E, F, G = (v[k] for k in ("a", "b", "E", "F", "G"))
-    if not _close_or_equal(G, E):
-        return False
-    c = _sqrt_any((1 - a * a) * (1 - b * b))
-    return (_close_or_equal(F, -E * (a * b + c))
-            or _close_or_equal(F, -E * (a * b - c)))
+    # F/E = -(ab +- sqrt((1 - a^2)(1 - b^2))), both signs admitted
+    return mode.equal(G / E, 1) and mode.equal(
+        (F / E + a * b) ** 2, (1 - a * a) * (1 - b * b))
 
 
-def _n6_2_cond(v) -> bool:
+def _n6_2_cond(v, mode: Mode) -> bool:
     r, E, F, G = (v[k] for k in ("r", "E", "F", "G"))
-    if not _close_or_equal(F, 0):
-        return False
-    sr = _sqrt_any(r)
-    if _close_or_equal(G, E * r / (sr + 1) ** 2):
-        return True
-    if _close_or_equal(r, 1):
-        return False
-    return _close_or_equal(G, E * r / (sr - 1) ** 2)
+    # with g = G/E, g (sqrt r +- 1)^2 = r reads g(r + 1) - r = -+2 g sqrt r;
+    # at r = 1 the minus branch is empty and the identity reduces to g = 1/4
+    g = G / E
+    return mode.equal(F / E, 0) and mode.equal((g * (r + 1) - r) ** 2, 4 * g * g * r)
 
 
-def _n5_2_cond(v) -> bool:
-    return _close_or_equal(v["E"], v["G"])
+def _n5_2_cond(v, mode: Mode) -> bool:
+    return mode.equal(v["E"], v["G"])
 
 
 _FAMILY_BUILDERS: dict[str, Callable] = {
@@ -402,7 +384,6 @@ _FAMILIES: tuple[MetricFamily, ...] = (
 )
 
 _FAMILY_BY_NAME = {f.name: f for f in _FAMILIES}
-_FAMILY_BY_ALGEBRA = {f.algebra: f for f in _FAMILIES}
 
 
 def families() -> tuple[MetricFamily, ...]:

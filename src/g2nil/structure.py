@@ -238,7 +238,8 @@ def _trace_identity(p, K, W, Q, mode: Mode, tol):
         A, B = _trace(p, K), _trace(p, W)
         C = _trace_pair(p, K, K) + T * _trace_pair(p, W, W)
         E = 2 * _trace_pair(p, K, W)
-        verdicts["+"] = A * A + B * B * T == 2 * C and A * B == E
+        verdicts["+"] = (mode.equal(A * A + B * B * T, 2 * C, tol)
+                         and mode.equal(A * B, E, tol))
     orient = "+" if verdicts["+"] else ("-" if verdicts["-"] else None)
     return orient is not None, orient, pairs
 

@@ -2,7 +2,9 @@
 the expected-verdict table and the regression runner."""
 
 import json
+import math
 import pathlib
+import random
 import tempfile
 from fractions import Fraction
 
@@ -126,6 +128,97 @@ def test_family_samples_match_conditions():
         assert fam.samples
         for params, expected in fam.samples:
             assert fam.purely_condition(**params) == expected
+            floated = {k: float(x) for k, x in params.items()}
+            assert fam.purely_condition(**floated) == expected
+            # a verdict depends on an inner block (E, F, G) only through G/E and F/E
+            for lam in (1e-6, 1e6):
+                scaled = {k: x * lam if k in "EFG" else x for k, x in floated.items()}
+                assert fam.purely_condition(**scaled) == expected, (fam.name, params, lam)
+
+
+def _near_locus_inputs():
+    """Rationals that round an irrational branch of the closed form: exact
+    parameters one float rounding off the purely coclosed locus."""
+    r, s = 1 / 2, 1 / 3
+    plus = (math.sqrt(r * s) + 1) / (math.sqrt(r) + math.sqrt(s))
+    yield "h3c", dict(r=Fraction(1, 2), s=Fraction(1, 3), E=Fraction(1), F=Fraction(0),
+                      G=Fraction(plus * plus))
+    root = math.sqrt(r) + 1
+    yield "n6_2", dict(r=Fraction(1, 2), E=Fraction(1), F=Fraction(0), G=Fraction(r / (root * root)))
+    a, b = 1 / 2, 1 / 3
+    F = -(a * b + math.sqrt((1 - a * a) * (1 - b * b)))
+    yield "h3h3", dict(a=Fraction(1, 2), b=Fraction(1, 3), E=Fraction(1), F=Fraction(F),
+                       G=Fraction(1))
+
+
+def test_exact_family_conditions_have_no_tolerance():
+    for name, params in _near_locus_inputs():
+        fam = catalog.get_family(name)
+        L = catalog.get(fam.algebra).algebra
+        exact = purely_coclosed_exists(L, fam.metric(**params)).exists
+        assert exact is False
+        assert fam.purely_condition(**params) == exact
+
+
+def _family_draw(name, rng):
+    """Parameters for one family, on its purely coclosed locus about half the
+    time: the branches are built from rational square roots."""
+    def pos():
+        return Fraction(rng.randint(1, 9), rng.randint(1, 9))
+
+    def unit():  # (sin, cos) of a rational angle
+        m, n = rng.randint(1, 5), rng.randint(0, 4)
+        return Fraction(2 * m * n, m * m + n * n), Fraction(m * m - n * n, m * m + n * n)
+
+    if name == "heis3":
+        return dict(r=pos())
+    if name == "heis5":
+        r = pos()
+        return dict(r=r, s=rng.choice([r, pos()]))
+    if name == "heis7":
+        y, z = pos(), pos()
+        x = [rng.choice([1 / (1 / y + 1 / z), pos()]), y, z]
+        rng.shuffle(x)
+        return dict(zip("rst", x))
+    if name == "n5_2":
+        E = pos()
+        return dict(E=E, G=rng.choice([E, pos()]))
+    F = rng.choice([Fraction(0), Fraction(0), Fraction(rng.randint(-3, 3), 8)])
+    if name == "h3c":
+        u, w, E = rng.choice([pos(), Fraction(1)]), rng.choice([pos(), Fraction(1)]), pos()
+        G = [E * ((u * w + 1) / (u + w)) ** 2, pos()]
+        if u != w:
+            G.append(E * ((u * w - 1) / (u - w)) ** 2)
+        return dict(r=u * u, s=w * w, E=E, F=F, G=rng.choice(G))
+    if name == "n6_2":
+        u, E = rng.choice([pos(), Fraction(1)]), pos()
+        G = [E * u * u / (u + 1) ** 2, pos()]
+        if u != 1:
+            G.append(E * u * u / (u - 1) ** 2)
+        return dict(r=u * u, E=E, F=F, G=rng.choice(G))
+    (a, ca), (b, cb), E = unit(), unit(), pos()
+    F = rng.choice([F, -E * (a * b + ca * cb), -E * (a * b - ca * cb)])
+    return dict(a=a, b=b, E=E, F=F, G=rng.choice([E, E, pos()]))
+
+
+def test_family_conditions_match_the_criterion_on_and_off_the_loci():
+    rng = random.Random(20)
+    for fam in catalog.families():
+        L = catalog.get(fam.algebra).algebra
+        checked = held = 0
+        while checked < 30:
+            params = _family_draw(fam.name, rng)
+            try:
+                g = fam.metric(**params)
+            except ValueError:
+                continue  # outside the positive-definite domain
+            expected = purely_coclosed_exists(L, g).exists
+            assert fam.purely_condition(**params) == expected, (fam.name, params)
+            floated = {k: float(x) for k, x in params.items()}
+            assert fam.purely_condition(**floated) == expected, (fam.name, params)
+            checked += 1
+            held += expected
+        assert fam.name == "heis3" or held >= 5, (fam.name, held)
 
 
 def test_entry_family_link():

@@ -354,6 +354,24 @@ def test_exact_identity_with_irrational_root_is_pinned():
             assert abs(got - want) <= 1e-12 * want
 
 
+_HOMOTHETIES = (1, 10**4, 10**8, Fraction(1, 10**8))
+
+
+def test_exact_verdict_is_homothety_invariant():
+    L = catalog.get("n7_3_A").algebra
+    for lam in _HOMOTHETIES:
+        assert purely_coclosed_exists(L, Metric.diagonal([lam] * 7)).exists is False
+
+
+@pytest.mark.xfail(strict=True, reason="the 1 in close()'s scale 1 + |lhs| + |rhs| dominates "
+                                      "at lambda = 1e8, where lhs and rhs are near 1e-16")
+def test_float_verdict_is_homothety_invariant():
+    L = catalog.get("n7_3_A").algebra
+    for lam in _HOMOTHETIES:
+        g = Metric.diagonal([float(lam)] * 7)
+        assert purely_coclosed_exists(L, g).exists is False
+
+
 def test_explicit_tolerance_is_validated():
     g = catalog.get_family("heis7").metric(r=Fraction(1, 2), s=1, t=1).to_float()
     for bad in (-1, math.nan, math.inf):
