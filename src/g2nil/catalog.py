@@ -237,22 +237,24 @@ def _n5_2_rows(v):
 # Each condition below is the paper's closed form with its square roots squared
 # away: the two branches of a family become one polynomial identity in the
 # parameters, so exact mode decides it over the rationals with `Mode.equal`.
-# A verdict depends on an inner block (E, F, G) only through G/E and F/E, so
-# the identities are read in those ratios and a float block's scale does not
-# meet close()'s absolute floor.
+# Each identity is read in degree-0 ratios of parameters that scale together
+# (G/E and F/E for an inner block (E, F, G), ratios of r, s, t otherwise),
+# so a float verdict does not depend on that scale and never meets close()'s
+# absolute floor.
 
 def _never(v, mode: Mode) -> bool:
     return False
 
 
 def _heis5_cond(v, mode: Mode) -> bool:
-    return mode.equal(v["r"], v["s"])
+    return mode.equal(v["r"] / v["s"], 1)
 
 
 def _heis7_cond(v, mode: Mode) -> bool:
-    # 1/x = 1/y + 1/z forces x to be the smallest, so try each rotation
+    # 1/x = 1/y + 1/z, i.e. x/y + x/z = 1, forces x to be the smallest, so
+    # try each rotation
     r, s, t = v["r"], v["s"], v["t"]
-    return any(mode.equal(1 / x, 1 / y + 1 / z)
+    return any(mode.equal(x / y + x / z, 1)
                for x, y, z in ((r, s, t), (s, t, r), (t, r, s)))
 
 
@@ -286,7 +288,7 @@ def _n6_2_cond(v, mode: Mode) -> bool:
 
 
 def _n5_2_cond(v, mode: Mode) -> bool:
-    return mode.equal(v["E"], v["G"])
+    return mode.equal(v["G"] / v["E"], 1)
 
 
 _FAMILY_BUILDERS: dict[str, Callable] = {

@@ -21,7 +21,8 @@ from typing import Sequence
 
 from ._linalg import (Mat, Vec, dot, gram_schmidt_sq, mat_inv, mat_mul, mat_vec, nullspace,
                       row_space_basis, rref, transpose)
-from .exterior import DegenerateError, G2nilError, KForm, MetricContext, Mode, ModeMismatchError
+from .exterior import (DegenerateError, G2nilError, KForm, MetricContext, Mode, ModeMismatchError,
+                       _merge_sign)
 
 __all__ = [
     "LieAlgebra", "Metric", "jz_matrix", "ricci_operator", "NilsolitonReport", "is_nilsoliton",
@@ -49,8 +50,9 @@ class LieAlgebra:
             if f.mode is not Mode.EXACT or f.dim != self.dim or f.degree != 2:
                 raise ValueError("d must be a list of exact 2-forms, one per covector")
         self.d_forms = tuple(d_forms)
-        # per-mode caches: the d e^k and the bracket table in the mode's scalars
-        self._d: dict[Mode, tuple[KForm, ...]] = {}
+        # per-mode caches: the d e^k as (mask, numerator) terms over one common
+        # denominator, and the bracket table, in the mode's scalars
+        self._d: dict[Mode, tuple[tuple[tuple[tuple[int, object], ...], ...], int]] = {}
         self._brackets: dict[Mode, dict[tuple[int, int], tuple]] = {}
         # metric-independent invariants, computed on first use
         self._derived: tuple[Vec, ...] | None = None
@@ -99,24 +101,43 @@ class LieAlgebra:
     # -- differential and brackets ------------------------------------------
 
     def ce_diff(self, form: KForm) -> KForm:
-        """Chevalley-Eilenberg differential, extended as an antiderivation."""
+        """Chevalley-Eilenberg differential, extended as an antiderivation.
+
+        One pass over cleared numerators (integers in exact mode): for the
+        indices i_0 < i_1 < ... of e^m, d(c e^m) = sum_p (-1)^p c d e^(i_p) ^
+        e^(m - i_p), with each d e^i cached as (mask, numerator) terms. The sum
+        is divided by the denominators once, at the end. Input terms are read
+        in sorted mask order, so a float sum always runs in one order.
+        """
         if form.dim != self.dim:
             raise ValueError("form dimension mismatch")
-        d_basis = self._d.get(form.mode)
-        if d_basis is None:
-            d_basis = self._d[form.mode] = tuple(
-                KForm(self.dim, 2, {m: form.mode.coerce(c) for m, c in f._terms.items()}, form.mode)
-                for f in self.d_forms)
-        out = KForm.zero(self.dim, min(form.degree + 1, self.dim), form.mode)
-        for idx, c in form.terms():
-            for pos, i in enumerate(idx):
-                rest = tuple(j for j in idx if j != i)
-                piece = d_basis[i - 1]
-                if rest:
-                    piece = piece.wedge(KForm.basis(self.dim, rest, form.mode))
-                sign = -1 if pos & 1 else 1
-                out = out + (sign * c) * piece
-        return out
+        mode = form.mode
+        cached = self._d.get(mode)
+        if cached is None:
+            nums, d_den = mode.cleared([mode.convert(c) for f in self.d_forms
+                                        for c in f._terms.values()])
+            it = iter(nums)
+            cached = self._d[mode] = (
+                tuple(tuple((m, next(it)) for m in f._terms) for f in self.d_forms), d_den)
+        d_terms, d_den = cached
+        masks = sorted(form._terms)
+        nums, den = mode.cleared([form._terms[m] for m in masks])
+        acc: dict[int, object] = {}
+        for m, c in zip(masks, nums):
+            bits, pos = m, 0
+            while bits:
+                low = bits & -bits
+                rest = m ^ low
+                signed = -c if pos & 1 else c
+                for dm, dc in d_terms[low.bit_length() - 1]:
+                    if not dm & rest:
+                        key = dm | rest
+                        acc[key] = acc.get(key, 0) + _merge_sign(dm, rest) * signed * dc
+                bits ^= low
+                pos += 1
+        den *= d_den
+        return KForm(self.dim, min(form.degree + 1, self.dim),
+                     {key: mode.div(v, den) for key, v in acc.items() if v}, mode)
 
     def _bracket_table(self, mode: Mode = Mode.EXACT) -> dict[tuple[int, int], tuple]:
         """[f_a, f_b] for all basis pairs, as vectors of the mode's scalars

@@ -136,6 +136,22 @@ def test_family_samples_match_conditions():
                 assert fam.purely_condition(**scaled) == expected, (fam.name, params, lam)
 
 
+def test_float_family_conditions_are_scale_free():
+    # off-locus parameters far from 1, which an absolute tolerance floor would
+    # pass; the exact conditions on the same ratios say False
+    assert not catalog.get_family("n5_2").purely_condition(E=1e-10, G=2e-10)
+    assert not catalog.get_family("heis5").purely_condition(r=1e-10, s=2e-10)
+    assert not catalog.get_family("heis7").purely_condition(r=1e10, s=2e10, t=3e10)
+    for fam in catalog.families():
+        # the parameters that scale together: the inner block, else all of them
+        keys = "EFG" if "E" in fam.params else fam.params
+        for params, expected in fam.samples:
+            for lam in (1e-10, 1e10):
+                scaled = {k: float(x) * lam if k in keys else float(x)
+                          for k, x in params.items()}
+                assert fam.purely_condition(**scaled) == expected, (fam.name, params, lam)
+
+
 def _near_locus_inputs():
     """Rationals that round an irrational branch of the closed form: exact
     parameters one float rounding off the purely coclosed locus."""

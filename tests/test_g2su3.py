@@ -271,6 +271,24 @@ def test_torsion_float_matches_exact():
         assert abs(float(rep.tau0) - float(rep_f.tau0)) < 1e-9 * (1 + abs(float(rep.tau0)))
 
 
+def test_torsion_class_calls_no_wedge(monkeypatch):
+    """ce_diff expands d e^i by bitmask, with no per-term KForm.wedge; neither
+    does the rest of torsion_class on a coframe-built structure."""
+    fx = catalog.load_fixture("n7_3_B_pure.json")
+    struct = G2Structure.from_coframe(catalog.coframe_from_fixture(fx))
+    calls = []
+    wedge = KForm.wedge
+
+    def counted(self, other):
+        calls.append(other)
+        return wedge(self, other)
+
+    monkeypatch.setattr(KForm, "wedge", counted)
+    report = torsion_class(catalog.get("n7_3_B").algebra, struct)
+    assert report.coclosed and report.purely_coclosed
+    assert len(calls) == 0
+
+
 def test_calibrates_standard_associative_planes():
     phi = phi_standard()
     f = [tuple(Fraction(int(i == k)) for i in range(7)) for k in range(7)]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2nil import catalog
 from g2nil._linalg import gram_schmidt_sq, mat_inv, mat_mul
 from g2nil.exterior import KForm, Mode, ModeMismatchError
 from g2nil.liealg import (
@@ -140,6 +141,46 @@ def test_ce_diff_squares_to_zero_on_forms():
         L = rand_two_step(rng, derived=rng.randint(1, 3))
         a = rand_form(rng, 7, rng.randint(1, 4))
         assert not L.ce_diff(L.ce_diff(a))
+
+
+def _koszul(L, form):
+    """d form by the Koszul formula on basis vectors, independent of ce_diff:
+    (d a)(f_x0, ..., f_xk) = sum_{i<j} (-1)^(i+j) a([f_xi, f_xj], f_x0, ..^i..^j.., f_xk),
+    as {sorted (k+1)-tuple: coefficient}."""
+    out = {}
+    for xs in combinations(range(1, L.dim + 1), form.degree + 1):
+        total = Fraction(0)
+        for i, j in combinations(range(len(xs)), 2):
+            rest = tuple(x for p, x in enumerate(xs) if p not in (i, j))
+            w = L.bracket_basis(xs[i], xs[j])
+            total += (-1) ** (i + j) * sum(wl * form.coeff((l, *rest))
+                                           for l, wl in enumerate(w, 1) if wl)
+        out[xs] = total
+    return out
+
+
+def test_ce_diff_matches_the_koszul_formula():
+    """ce_diff against the invariant formula on random algebras (structure
+    constants with denominators too) and the catalog, for forms of every degree
+    with non-integer coefficients; the float differential of the rounded form
+    agrees with the rounded exact one."""
+    rng = random.Random(SEED + 7)
+    algebras = [catalog.get(name).algebra for name in catalog.names()]
+    for _ in range(8):
+        L = rand_two_step(rng, derived=rng.randint(1, 3))
+        algebras.append(LieAlgebra("scaled", [f * rand_frac(rng, 1, 2, 4) for f in L.d_forms]))
+    for L in algebras:
+        for degree in range(7):
+            form = rand_form(rng, 7, degree, nterms=rng.randint(1, 6))
+            form = form * Fraction(1, rng.choice([2, 3, 5, 7]))
+            d = L.ce_diff(form)
+            assert d.degree == degree + 1
+            for idx, c in _koszul(L, form).items():
+                assert d.coeff(idx) == c, (L.name, form, idx)
+            df = L.ce_diff(form.to_float())
+            assert df.mode is Mode.FLOAT
+            gap = (df - d.to_float()).max_abs()
+            assert gap <= 1e-15 * max(d.max_abs(), form.max_abs()), (L.name, form, gap)
 
 
 def test_derived_and_center_bases():
