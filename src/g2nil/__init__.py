@@ -69,8 +69,7 @@ from .construct import (
     Construction,
     construct,
     construct_case1,
-    construct_case2,
-    construct_case3,
+    construct_selfdual,
 )
 from . import catalog
 from .catalog import UnknownAlgebraError
@@ -94,8 +93,7 @@ __all__ = [
     "coclosed_always", "coclosed_exists", "decompose", "m_matrix",
     "purely_coclosed_exists", "sd_basis_forms", "sd_gram", "symmetrize_M",
     # construct
-    "Construction", "construct", "construct_case1", "construct_case2",
-    "construct_case3",
+    "Construction", "construct", "construct_case1", "construct_selfdual",
     # catalog
     "catalog", "UnknownAlgebraError",
 ]

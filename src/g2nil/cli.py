@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import catalog
-from .catalog import UnknownAlgebraError, parse_coefficient
+from .catalog import UnknownAlgebraError
 from .exterior import (DegenerateError, ExactnessError, KForm, Mode, ModeMismatchError,
                        ToleranceError, parse_tolerance, resolve_tolerance)
 from .g2su3 import G2Structure, torsion_class
@@ -157,24 +157,18 @@ def _coframe_from_file(path: str, params: dict | None, mode: Mode) -> list[KForm
     if len(rows) != 7 or any(len(r) != 7 for r in rows):
         raise _CliParseError("coframe must be 7 rows of 7 coefficients")
     try:
-        forms = []
-        for i, row in enumerate(rows):
-            coeffs = {}
-            for j, cell in enumerate(row):
-                c = parse_coefficient(str(cell), params, mode)
-                if c:
-                    coeffs[(j + 1,)] = c
-            if scale_sq != 1 and i >= 4:
-                if mode is Mode.EXACT:
-                    raise _CliParseError(
-                        "this coframe stores sqrt(scale_sq)-rescaled rows; "
-                        "verify it with --mode float")
-                s = float(scale_sq) ** -0.5
-                coeffs = {k: s * v for k, v in coeffs.items()}
-            forms.append(KForm.from_terms(7, 1, coeffs, mode))
-        return forms
+        # cells are read as text, so a JSON number parses like its literal
+        forms = catalog.coframe_from_fixture(
+            {"coframe": [[str(cell) for cell in row] for row in rows]}, params, mode)
     except ValueError as exc:
         raise _CliParseError(str(exc)) from exc
+    if scale_sq != 1:
+        if mode is Mode.EXACT:
+            raise _CliParseError("this coframe stores sqrt(scale_sq)-rescaled rows; "
+                                 "verify it with --mode float")
+        s = float(scale_sq) ** -0.5
+        forms[4:] = [s * f for f in forms[4:]]
+    return forms
 
 
 # --------------------------------------------------------------------------
@@ -255,7 +249,7 @@ def _cmd_catalog(args) -> int:
         if args.format == "json":
             print(json.dumps({"algebras": [*catalog.names()]}, indent=1))
         else:
-            for entry in catalog.list():
+            for entry in map(catalog.get, catalog.names()):
                 print(f"{entry.name:10s} dim n' = {entry.derived_dim}, "
                       f"purely coclosed metrics: "
                       f"{'yes' if entry.admits_purely_coclosed else 'no'}")

@@ -11,10 +11,12 @@ the duals of the canonical 4-plane and the remaining covectors are fed into
 the standard 3-form as phi = sigma_1 ∧ e^5 + sigma_2 ∧ e^6 + sigma_3 ∧ e^7
 + e^567 (which is the standard pattern). Torsion conditions then become
 linear-algebra statements about the matrix M_mj = <sigma_m, d e^{4+j}>:
-symmetric for coclosed, symmetric trace-free for purely coclosed. Cases 1
-and 2 use the analogous reductions described in `structure`; case 2 rotates
-the self-dual 2-forms of the 4-plane by left multiplication with a unit
-quaternion.
+symmetric for coclosed, symmetric trace-free for purely coclosed. Case 1
+splits d z-flat into planar blocks. Cases 2 and 3 share one construction:
+the last three covectors are an orthonormal basis of n'* (plus, when
+dim n' = 2, the unit covector of the abelian direction the 4-plane leaves
+over, whose differential vanishes), rotated by the canonical P in O(3) of
+`structure.symmetrize_M`.
 """
 from __future__ import annotations
 
@@ -25,10 +27,10 @@ import numpy as np
 from .exterior import DegenerateError, KForm, Mode, resolve_tolerance
 from .g2su3 import G2Structure, TorsionReport, torsion_class
 from .liealg import LieAlgebra, Metric
-from .structure import (CriterionReport, MetricDecomposition, decompose, selfdual_exists,
-                        symmetrize_M)
+from .structure import (CriterionReport, MetricDecomposition, _polar, decompose,
+                        selfdual_exists, symmetrize_M)
 
-__all__ = ["Construction", "construct", "construct_case1", "construct_case2", "construct_case3"]
+__all__ = ["Construction", "construct", "construct_case1", "construct_selfdual"]
 
 # Fixed thresholds of numerical steps on unit-size quantities (verdicts go
 # through `resolve_tolerance`). A unit eigenvector of -B^2 left this short by
@@ -37,8 +39,6 @@ _DUPLICATE_DIRECTION = 1e-8
 # the best signed sum of block amplitudes, relative: each amplitude is the
 # square root of an eigenvalue and keeps about half of its digits
 _BLOCK_BALANCE = 1e-7
-# the criterion makes the unit self-dual parts orthogonal, |y1 x y2| ~ 1:
-_COLLINEAR = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -70,69 +70,6 @@ _SIGMA = (
     {(0, 3): -1.0, (1, 2): -1.0},
     {(0, 1): 1.0, (2, 3): 1.0},
 )
-_SIGMA_MINUS = (
-    {(0, 2): 1.0, (1, 3): 1.0},
-    {(0, 3): -1.0, (1, 2): 1.0},
-    {(0, 1): 1.0, (2, 3): -1.0},
-)
-
-
-def _sigma_matrices(table):
-    mats = []
-    for coeffs in table:
-        m = np.zeros((4, 4))
-        for (a, b), c in coeffs.items():
-            m[a, b] = c
-            m[b, a] = -c
-        mats.append(m)
-    return mats
-
-
-_SIG_P = _sigma_matrices(_SIGMA)
-_SIG_M = _sigma_matrices(_SIGMA_MINUS)
-
-
-def _sd_action(O: np.ndarray, mats) -> np.ndarray:
-    """3x3 matrix of the O-induced rotation on the (anti-)self-dual 2-forms:
-    D(O)_mn = -1/4 tr(O^T Sigma_m O Sigma_n)."""
-    return np.array([[-0.25 * float(np.trace(O.T @ Sm @ O @ Sn)) for Sn in mats]
-                     for Sm in mats])
-
-
-def _quaternion(R: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) of a rotation R, by Shepperd's method.
-
-    K = 4 q q^T is read off R. Its column k with the largest diagonal entry
-    (at least 1, as |q| = 1) divided by 2 sqrt(K_kk) is q up to sign, so no
-    division is by a small number, whatever the rotation angle.
-    """
-    t = float(np.trace(R))
-    K = np.array([
-        [1.0 + t, R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]],
-        [R[2, 1] - R[1, 2], 1.0 + 2.0 * R[0, 0] - t, R[0, 1] + R[1, 0], R[0, 2] + R[2, 0]],
-        [R[0, 2] - R[2, 0], R[0, 1] + R[1, 0], 1.0 + 2.0 * R[1, 1] - t, R[1, 2] + R[2, 1]],
-        [R[1, 0] - R[0, 1], R[0, 2] + R[2, 0], R[1, 2] + R[2, 1], 1.0 + 2.0 * R[2, 2] - t],
-    ])
-    k = int(np.argmax(np.diag(K)))
-    return K[:, k] / (2.0 * np.sqrt(K[k, k]))
-
-
-def _lift_so3_to_so4(R: np.ndarray) -> np.ndarray:
-    """O in SO(4) inducing the rotation R on self-dual 2-forms and the
-    identity on anti-self-dual ones.
-
-    SO(4) = Sp(1)·Sp(1): left multiplication by a unit quaternion fixes the
-    anti-self-dual forms and rotates the self-dual ones as the quaternion
-    rotates R^3. With the sigma basis above, the quaternion q = (w, x, y, z)
-    of R gives O = left multiplication by (w, -z, -x, y) on R^4 = H.
-    """
-    w, x, y, z = _quaternion(R)
-    a, b, c, d = w, -z, -x, y
-    O = np.array([[a, -b, -c, -d], [b, a, -d, c], [c, d, a, -b], [d, -c, b, a]])
-    if (np.max(np.abs(_sd_action(O, _SIG_P) - R)) > 1e-9
-            or np.max(np.abs(_sd_action(O, _SIG_M) - np.eye(3))) > 1e-9):
-        raise DegenerateError("self-dual lift failed to calibrate")
-    return O
 
 
 # ---------------------------------------------------------------------------
@@ -273,24 +210,27 @@ def _oriented_plane_frame(D: MetricDecomposition, orientation: str):
     return frame
 
 
-def _sd_coords(L: LieAlgebra, gm: np.ndarray, zs, frame4, sigma_table):
-    """Rows y_i: coordinates of (d z_i-flat)^+ in the orthonormal SD basis."""
-    out = []
-    for z in zs:
-        B = _beta_matrix(L, gm, z, frame4)
-        y = [sum(c * B[a, b] for (a, b), c in sig.items()) / np.sqrt(2.0)
-             for sig in sigma_table]
-        out.append(np.array(y))
-    return np.array(out)
+def _m_matrix(L: LieAlgebra, gm: np.ndarray, zs, frame4) -> np.ndarray:
+    """M_mj = <sigma_m, d z_j-flat> on the orthonormal 4-frame."""
+    Bs = [_beta_matrix(L, gm, z, frame4) for z in zs]
+    return np.array([[sum(c * B[a, b] for (a, b), c in sig.items()) for B in Bs]
+                     for sig in _SIGMA])
 
 
-def construct_case2(D: MetricDecomposition, report: CriterionReport | None = None,
-                    purely: bool = True, tol: float | None = None) -> list:
-    """Adapted coframe for dim n' = 2; returns the seven 1-forms."""
-    eps = resolve_tolerance(tol)
+def construct_selfdual(D: MetricDecomposition, report: CriterionReport | None = None,
+                       purely: bool = True, tol: float | None = None) -> list:
+    """Adapted coframe for dim n' in {2, 3}; returns the seven 1-forms.
+
+    The last three covectors are the unit zetas of n' and, when dim n' = 2,
+    the flat of the unit vector x of the abelian part that the 4-plane leaves
+    over: x is orthogonal to n', so d x-flat = 0 and M = [m_1 m_2 0]. They
+    are rotated by P in O(3) with MP symmetric and trace free
+    (`symmetrize_M`), or, for a coclosed coframe, by the transposed polar
+    factor of M, which makes MP symmetric.
+    """
     L = D.L
     gm = _gram(D.g)
-    if D.abelian_dim == 0:
+    if D.derived_dim == 2 and D.abelian_dim == 0:
         raise DegenerateError("no coclosed structures: the center equals n'")
     orientation = "+"
     if purely:
@@ -300,73 +240,14 @@ def construct_case2(D: MetricDecomposition, report: CriterionReport | None = Non
             raise DegenerateError("the metric fails the purely coclosed criterion")
         orientation = report.orientation or "+"
     frame4 = _oriented_plane_frame(D, orientation)
-    zs = _unit(D.zs, D.p)
-    # the remaining r-direction, g-orthogonal to the 4-plane
-    x = _unit(D.complement[4:], D.complement_sq[4:])[0]
-    Y = _sd_coords(L, gm, zs, frame4, _SIGMA)
-    rho = float(np.linalg.norm(Y[0]))
-    scale = 1.0 + float(np.max(np.abs(Y)))
+    zs = _unit(D.zs, D.p) + _unit(D.complement[4:], D.complement_sq[4:])
+    M = _m_matrix(L, gm, zs, frame4)
     if purely:
-        if rho < eps * scale:
-            R = np.eye(3)
-        else:
-            y1, y2 = Y[0] / rho, Y[1] / float(np.linalg.norm(Y[1]))
-            e3 = np.cross(y1, y2)
-            n3 = np.linalg.norm(e3)
-            if n3 < _COLLINEAR:
-                raise DegenerateError("self-dual parts are collinear; criterion violated")
-            S = np.column_stack([y1, y2, e3 / n3])
-            T = np.column_stack([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
-            R = T @ S.T
+        P = np.array(symmetrize_M(M.tolist(), tol)["P"])
     else:
-        # align the row space and symmetrize: a plane polar decomposition
-        _u, _s, Vt = np.linalg.svd(Y)
-        T0 = Vt[:2]
-        C0 = Y @ T0.T
-        Uc, _sc, Vct = np.linalg.svd(C0)
-        Q = Uc @ Vct
-        T = Q @ T0
-        t3 = np.cross(T[0], T[1])
-        R = np.vstack([T, t3])
-    O = _lift_so3_to_so4(R)
-    # e'^a = sum_b O[a, b] e^b realises sigma'_m = O^T Sigma_m O, the same
-    # convention _sd_action uses, so the new coordinates are y' = R y
-    new_frame = [sum(O[a, b] * frame4[b] for b in range(4)) for a in range(4)]
-    coframe = ([_flat(v, gm) for v in new_frame]
-               + [_flat(zs[0], gm), _flat(zs[1], gm), _flat(x, gm)])
-    return coframe
-
-
-def construct_case3(D: MetricDecomposition, report: CriterionReport | None = None,
-                    purely: bool = True, tol: float | None = None) -> list:
-    """Adapted coframe for dim n' = 3; returns the seven 1-forms."""
-    L = D.L
-    gm = _gram(D.g)
-    orientation = "+"
-    if purely:
-        if report is None:
-            report = selfdual_exists(D, tol)
-        if not report.exists:
-            raise DegenerateError("the metric fails the purely coclosed criterion")
-        orientation = report.orientation or "+"
-    frame4 = _oriented_plane_frame(D, orientation)
-    zs = _unit(D.zs, D.p)
-    Y = _sd_coords(L, gm, zs, frame4, _SIGMA)
-    M0 = np.sqrt(2.0) * Y.T      # M_mj = <sigma_m, d z_j-flat>
-    if purely:
-        P = np.array(symmetrize_M(M0.tolist(), tol)["P"])
-    else:
-        U, _sv, Vt = np.linalg.svd(M0)
-        P = Vt.T @ U.T
-    zetas = [_flat(z, gm) for z in zs]
-    rotated = []
-    for j in range(3):
-        form = KForm.zero(7, 1, Mode.FLOAT)
-        for k in range(3):
-            if abs(P[k, j]) > 0.0:
-                form = form + float(P[k, j]) * zetas[k]
-        rotated.append(form)
-    return [_flat(v, gm) for v in frame4] + rotated
+        P = _polar(M, tol)[0].T
+    rotated = P.T @ np.array(zs)      # row j: sum_k P_kj z_k
+    return [_flat(v, gm) for v in [*frame4, *rotated]]
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +264,6 @@ def construct(L: LieAlgebra, g: Metric, kind: str = "purely",
     purely = kind == "purely"
     if D.derived_dim == 1:
         coframe = construct_case1(D, purely=purely, tol=tol)
-    elif D.derived_dim == 2:
-        coframe = construct_case2(D, purely=purely, tol=tol)
     else:
-        coframe = construct_case3(D, purely=purely, tol=tol)
+        coframe = construct_selfdual(D, purely=purely, tol=tol)
     return _finish(L, gf, coframe, D.derived_dim, kind, tol)

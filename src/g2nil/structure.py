@@ -40,6 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from ._linalg import gram_schmidt_sq
 from ._radicals import Surd
 from .exterior import (DegenerateError, ExactnessError, KForm, Mode,
@@ -344,21 +346,47 @@ def m_matrix(L: LieAlgebra, coframe: Sequence[KForm], g: Metric) -> list[list]:
     return [[form_inner(s, a, g.rows, g.ctx) for a in alphas] for s in sigmas]
 
 
-# P = V diag(±1) U^T is a product of SVD factors: orthogonal to rounding,
+# P is a product of SVD factors and a reflection: orthogonal to rounding,
 # whatever the verdict tolerance
 _P_ORTHOGONALITY = 1e-12
+
+
+def _polar(Mf: np.ndarray, tol: float | None):
+    """Canonical orthogonal polar factor of a 3x3 float matrix M.
+
+    Returns (Omega, U, sv, tie) with M = U diag(sv) V^T and Omega =
+    U diag(1, 1, s) V^T, so that M Omega^T is symmetric positive semidefinite
+    (Higham, SIAM J. Sci. Stat. Comput. 7, 1986). Singular values within
+    tie = tolerance * (1 + max|M|) of 0 count as 0, and where the SVD's basis
+    is arbitrary Omega does not depend on it:
+    * sv_3 = 0: s makes det Omega = +1 (otherwise s = 1);
+    * sv_2 = 0 too: Omega = I - 2 w w^T / |w|^2 for the longer w of
+      u_1 -+ v_1, which maps v_1 to +-u_1 (M Omega^T = +-sv_1 u_1 u_1^T);
+    * sv_1 = 0: Omega = I.
+    """
+    tie = resolve_tolerance(tol) * (1.0 + float(np.max(np.abs(Mf))))
+    U, sv, Vt = np.linalg.svd(Mf)
+    if sv[0] <= tie:
+        return np.eye(3), U, sv, tie
+    if sv[1] <= tie:
+        w = max(U[:, 0] - Vt[0], U[:, 0] + Vt[0], key=np.linalg.norm)
+        return np.eye(3) - 2.0 * np.outer(w, w) / (w @ w), U, sv, tie
+    s = float(np.sign(np.linalg.det(U) * np.linalg.det(Vt))) if sv[2] <= tie else 1.0
+    return U @ np.diag([1.0, 1.0, s]) @ Vt, U, sv, tie
 
 
 def symmetrize_M(M, tol: float | None = None) -> dict:
     """Find P in O(3) with A = M P symmetric and trace free.
 
     Feasible iff tr^2(S) = 2 tr(S^2) for S = (1/2) M^T M; equivalently the
-    singular values a >= b >= c of M satisfy a = b + c. P is assembled from
-    the SVD M = U Sigma V^T as P = V diag(1, 1, -1)* U^T with the -1 at the
-    position of the dominant singular value. Raises DegenerateError when the
-    identity fails.
+    singular values a >= b >= c of M satisfy a = b + c. P is canonical, so it
+    is a continuous function of M wherever it is determined up to ties:
+    P = Omega^T (I - 2 u u^T) with Omega the polar factor of `_polar`, and u
+    the left singular vector of a, or, when a ties with b (singular values
+    (a, a, 0)), the first column M e_j with |M e_j| >= a/2, normalised. Then
+    A = M P has eigenvalues -a, b and +-c. P = I when M is 0 to the
+    tolerance. Raises DegenerateError when the identity fails.
     """
-    import numpy as np
     eps = resolve_tolerance(tol)
     Mf = np.array([[float(x) for x in row] for row in M], dtype=float)
     if Mf.shape != (3, 3):
@@ -368,11 +396,16 @@ def symmetrize_M(M, tol: float | None = None) -> dict:
     if not close(lhs, rhs, eps):
         raise DegenerateError(
             f"no orthogonal P makes MP symmetric trace-free: tr^2(S)={lhs} vs 2tr(S^2)={rhs}")
-    U, sv, Vt = np.linalg.svd(Mf)
-    # singular values are sorted descending; feasibility forces sv0 = sv1 + sv2
-    signs = np.array([1.0, 1.0, 1.0])
-    signs[0] = -1.0
-    P = Vt.T @ np.diag(signs) @ U.T
+    Omega, U, sv, tie = _polar(Mf, tol)
+    P = Omega.T
+    if sv[0] > tie:
+        if sv[0] - sv[1] > tie:
+            u = U[:, 0]
+        else:
+            norms = np.linalg.norm(Mf, axis=0)
+            j = next(j for j in range(3) if norms[j] >= sv[0] / 2)
+            u = Mf[:, j] / norms[j]
+        P = P @ (np.eye(3) - 2.0 * np.outer(u, u))
     A = Mf @ P
     scale = 1.0 + float(np.max(np.abs(Mf)))
     if not (np.max(np.abs(P @ P.T - np.eye(3)))

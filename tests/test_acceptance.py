@@ -145,7 +145,7 @@ def test_c02_obstruction_fixtures_match_pinned_matrices_exactly():
 
 def test_c03_purely_coclosed_existence_across_catalog():
     never = set()
-    for entry in catalog.list():
+    for entry in map(catalog.get, catalog.names()):
         ok = purely_coclosed_exists(entry.algebra, Metric.identity(7)).exists
         if not ok and entry.witness_metric is not None:
             ok = purely_coclosed_exists(entry.algebra, entry.witness_metric).exists
@@ -304,7 +304,7 @@ PURELY_ON_NILSOLITON = {
 
 def test_c06_nilsoliton_metrics_and_purely_verdicts():
     seen = set()
-    for entry in catalog.list():
+    for entry in map(catalog.get, catalog.names()):
         g = entry.nilsoliton_metric
         if g is None:
             assert entry.name in {"n7_2_A", "n7_2_B"}
@@ -429,7 +429,7 @@ def _rand_two_step(rng, derived):
 
 def test_c08_oracle_identities_exact():
     # d² = 0 on every basis form of every catalog algebra
-    for entry in catalog.list():
+    for entry in map(catalog.get, catalog.names()):
         L = entry.algebra
         for deg in range(0, 8):
             if deg == 0:

@@ -28,8 +28,7 @@ PUBLIC = [
     "coclosed_always", "coclosed_exists", "decompose", "m_matrix",
     "purely_coclosed_exists", "sd_basis_forms", "sd_gram", "symmetrize_M",
     # construct
-    "Construction", "construct", "construct_case1", "construct_case2",
-    "construct_case3",
+    "Construction", "construct", "construct_case1", "construct_selfdual",
     # catalog
     "catalog", "UnknownAlgebraError",
 ]

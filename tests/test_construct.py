@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from g2nil import catalog
-from g2nil.construct import _SIG_M, _SIG_P, _lift_so3_to_so4, _sd_action, construct
+from g2nil.construct import construct
 from g2nil.exterior import DegenerateError
 from g2nil.g2su3 import G2Structure, torsion_class
 from g2nil.liealg import LieAlgebra, Metric
@@ -145,34 +145,56 @@ def test_construct_kind_validation():
         construct(H7, Metric.identity(7), kind="bogus")
 
 
-def _rodrigues(n, theta):
-    """Rotation of R^3 by theta about the unit axis n."""
-    N = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
-    return np.eye(3) + np.sin(theta) * N + (1.0 - np.cos(theta)) * N @ N
+def _coframe_matrix(L, g, kind="purely"):
+    made = construct(L, g, kind=kind)
+    return np.array([[f.coeff(i) for i in range(1, 8)] for f in made.coframe])
 
 
-def _assert_lifts(R):
-    """The lift O is in SO(4), rotates the self-dual 2-forms by R and fixes
-    the anti-self-dual ones."""
-    O = _lift_so3_to_so4(R)
-    assert np.max(np.abs(O.T @ O - np.eye(4))) < 1e-12
-    assert abs(np.linalg.det(O) - 1.0) < 1e-12
-    assert np.max(np.abs(_sd_action(O, _SIG_P) - R)) < 1e-12
-    assert np.max(np.abs(_sd_action(O, _SIG_M) - np.eye(3))) < 1e-12
+def _nudged(g):
+    """g with every entry moved one ulp up, so it stays symmetric."""
+    return Metric(np.nextafter(np.array(g.to_float().rows), np.inf).tolist())
 
 
-@pytest.mark.parametrize("gap", [1e-2, 2.4e-4, 1e-7, 0.0])
-def test_lift_so3_to_so4_near_angle_pi(gap):
-    rng = np.random.default_rng(SEED)
-    for _ in range(10):
-        n = rng.normal(size=3)
-        _assert_lifts(_rodrigues(n / np.linalg.norm(n), np.pi - gap))
+def _selfdual_inputs():
+    """Every case-2/3 catalog witness and every feasible family sample."""
+    for name in catalog.names():
+        entry = catalog.get(name)
+        if entry.derived_dim in (2, 3) and entry.witness_metric is not None:
+            yield name, entry.algebra, entry.witness_metric
+    for fam in catalog.families():
+        entry = catalog.get(fam.algebra)
+        if entry.derived_dim in (2, 3):
+            for params, expected in fam.samples:
+                if expected:
+                    yield f"{fam.name}{params}", entry.algebra, fam.metric(**params)
 
 
-def test_lift_so3_to_so4_identity_and_random_rotations():
-    _assert_lifts(np.eye(3))
-    assert np.array_equal(_lift_so3_to_so4(np.eye(3)), np.eye(4))
-    rng = np.random.default_rng(SEED + 1)
-    for _ in range(50):
-        n = rng.normal(size=3)
-        _assert_lifts(_rodrigues(n / np.linalg.norm(n), rng.uniform(0.0, np.pi)))
+def test_selfdual_construction_is_stable_under_a_last_bit_change():
+    # the coframe is a continuous function of g, with no arbitrary SVD basis
+    # in a repeated singular value
+    built = 0
+    for label, L, g in _selfdual_inputs():
+        moved = np.max(np.abs(_coframe_matrix(L, g) - _coframe_matrix(L, _nudged(g))))
+        assert moved < 1e-6, label
+        built += 1
+    assert built == 26
+
+
+@pytest.mark.parametrize("name", ["h3_h3_R", "n7_3_B1"])
+def test_coclosed_construction_is_stable_when_M_has_rank_one(name):
+    # M = sigma u v^T at the identity metric: the SVD is arbitrary off u and v
+    L, g = catalog.get(name).algebra, Metric.identity(7)
+    moved = np.max(np.abs(_coframe_matrix(L, g, "coclosed")
+                          - _coframe_matrix(L, _nudged(g), "coclosed")))
+    assert moved < 1e-6
+
+
+@pytest.mark.parametrize("name", ["h3_h3_R", "h3C_R", "n5_2_R2", "n6_2_R"])
+def test_case2_coclosed_construction(name):
+    L = catalog.get(name).algebra
+    g = Metric.diagonal([1, 1, 1, 1, 1, 2, 1])
+    result = construct(L, g, "coclosed")
+    assert result.case == 2 and result.kind == "coclosed"
+    assert result.torsion.coclosed
+    assert not result.torsion.purely_coclosed
+    assert result.metric_residual < 1e-9

@@ -286,7 +286,7 @@ def test_orientation_label_agrees_across_modes_and_automorphisms():
     # by an automorphism preserving the orientations of R^7/n' and center/n'
     rng = random.Random(SEED + 7)
     checked = 0
-    for entry in catalog.list():
+    for entry in map(catalog.get, catalog.names()):
         L = entry.algebra
         if entry.derived_dim not in (2, 3) or not decompose(L, Metric.identity(7)).rtilde:
             continue
@@ -305,7 +305,7 @@ def test_orientation_label_agrees_across_modes_and_automorphisms():
 def test_float_sd_gram_matches_exact_entries():
     rng = random.Random(SEED)
     checked = surds = 0
-    for entry in catalog.list():
+    for entry in map(catalog.get, catalog.names()):
         if entry.derived_dim not in (2, 3):
             continue
         for trial in range(8):
@@ -487,6 +487,34 @@ def test_symmetrize_matches_trace_identity():
         assert got == feasible
         tested += 1
     assert tested > 250
+
+
+def test_symmetrize_reflects_the_first_column_when_the_top_singular_values_tie():
+    # M = lam [m1 m2 0] with m1, m2 orthonormal: singular values (lam, lam, 0),
+    # and A = MP has eigenvalues (-lam, lam, 0) with its -lam eigenvector along m1
+    rng = random.Random(SEED + 8)
+    for lam in (1e-3, 1.0, 1e3):
+        Q = rand_orthogonal(rng)
+        M = lam * np.column_stack([Q[:, 0], Q[:, 1], np.zeros(3)])
+        A = np.array(symmetrize_M(M.tolist())["A"])
+        w, V = np.linalg.eigh((A + A.T) / 2)
+        assert np.allclose(w, [-lam, 0.0, lam], atol=1e-12 * lam)
+        assert abs(abs(V[:, 0] @ Q[:, 0]) - 1.0) < 1e-12
+
+
+def test_symmetrize_is_continuous_on_a_rank_two_tie():
+    # any orthonormal basis of a repeated singular space is an SVD; the
+    # canonical P must not follow the one the SVD happens to return
+    rng = random.Random(SEED + 9)
+    for _ in range(20):
+        M = rand_orthogonal(rng) @ np.diag([2.0, 2.0, 0.0]) @ rand_orthogonal(rng).T
+        P = np.array(symmetrize_M(M.tolist())["P"])
+        nudged = np.array(symmetrize_M(np.nextafter(M, np.inf).tolist())["P"])
+        assert np.max(np.abs(P - nudged)) < 1e-9
+
+
+def test_symmetrize_zero_matrix_is_the_identity():
+    assert symmetrize_M([[0.0] * 3 for _ in range(3)])["P"] == np.eye(3).tolist()
 
 
 def test_coclosed_report_shape():
