@@ -18,6 +18,7 @@ a product with a zero Fraction costs as much as any other.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -177,15 +178,24 @@ def nullspace(a: Mat) -> list[Vec]:
     return basis
 
 
-def gram_schmidt_sq(vectors: Sequence[Sequence], ip: Callable) -> tuple[list[Vec], list]:
+def project_out(w: Sequence, u: Sequence, wu, uu) -> Sequence:
+    """w - (wu / uu) u, the classical Gram-Schmidt step; w itself when wu = 0."""
+    c = wu / uu
+    return [x - c * y for x, y in zip(w, u)] if c else w
+
+
+def gram_schmidt_sq(vectors: Sequence[Sequence], ip: Callable,
+                    step: Callable = project_out) -> tuple[list[Vec], list]:
     """Normalization-free Gram-Schmidt.
 
     Returns an orthogonal (not orthonormal) basis together with the squared
     norms q_i, so exact callers can stay in rational arithmetic: the
     orthonormal vector is w_i / sqrt(q_i), and any expression quadratic in it
-    picks up a rational factor 1/q_i. Raises DegenerateError when some q_i is
-    not positive (dependent vectors, or an inner product that is not
-    positive definite).
+    picks up a rational factor 1/q_i. `step(w, u, <w, u>, <u, u>)` removes
+    the component of w along u; `exterior.Mode.project_out` gives an integer
+    step that returns positive multiples instead. Raises DegenerateError when
+    some q_i is not positive (dependent vectors, or an inner product that is
+    not positive definite).
     """
     from .exterior import DegenerateError  # exterior imports this module
 
@@ -194,9 +204,7 @@ def gram_schmidt_sq(vectors: Sequence[Sequence], ip: Callable) -> tuple[list[Vec
     for v in vectors:
         w = list(v)
         for u, q in zip(ortho, norms_sq):
-            c = ip(w, u) / q
-            if c:
-                w = [x - c * y for x, y in zip(w, u)]
+            w = step(w, u, ip(w, u), q)
         q = ip(w, w)
         if not q > 0:
             raise DegenerateError(
@@ -212,6 +220,9 @@ def int_nth_root(k: int, n: int) -> int | None:
         raise ValueError("negative radicand")
     if k in (0, 1):
         return k
+    if n == 2:
+        r = math.isqrt(k)
+        return r if r * r == k else None
     lo, hi = 1, 1 << ((k.bit_length() + n - 1) // n + 1)
     while lo < hi:
         mid = (lo + hi) // 2

@@ -39,6 +39,10 @@ _DUPLICATE_DIRECTION = 1e-8
 # the best signed sum of block amplitudes, relative: each amplitude is the
 # square root of an eigenvalue and keeps about half of its digits
 _BLOCK_BALANCE = 1e-7
+# a self-dual component of d z-flat below this fraction of its largest entry
+# is rounding noise; `symmetrize_M` judges M against M's own scale, so it
+# cannot tell noise from a small M
+_ROUNDING_NOISE = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +215,17 @@ def _oriented_plane_frame(D: MetricDecomposition, orientation: str):
 
 
 def _m_matrix(L: LieAlgebra, gm: np.ndarray, zs, frame4) -> np.ndarray:
-    """M_mj = <sigma_m, d z_j-flat> on the orthonormal 4-frame."""
+    """M_mj = <sigma_m, d z_j-flat> on the orthonormal 4-frame.
+
+    M is 0 when each column is at rounding noise of the matrix of d z_j-flat,
+    so that M = 0 (no self-dual part) stays 0, and P = I, under last-bit
+    changes of g.
+    """
     Bs = [_beta_matrix(L, gm, z, frame4) for z in zs]
-    return np.array([[sum(c * B[a, b] for (a, b), c in sig.items()) for B in Bs]
-                     for sig in _SIGMA])
+    M = np.array([[sum(c * B[a, b] for (a, b), c in sig.items()) for B in Bs]
+                  for sig in _SIGMA])
+    noise = _ROUNDING_NOISE * np.array([np.max(np.abs(B)) for B in Bs])
+    return np.zeros_like(M) if np.all(np.abs(M) <= noise) else M
 
 
 def construct_selfdual(D: MetricDecomposition, report: CriterionReport | None = None,

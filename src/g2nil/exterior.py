@@ -11,8 +11,12 @@ Two scalar modes are supported and never mixed:
 
 `Mode` holds every exact/float difference of the package's arithmetic: its
 zero, the validation and conversion of scalars, division, real roots,
-clearing denominators and the JSON encoding of a scalar. Code elsewhere calls
-these members instead of branching on the mode.
+clearing denominators, sums of quotients, the Gram-Schmidt step, matrix
+inversion and the JSON encoding of a scalar. Code elsewhere calls these
+members instead of branching on the mode. The exact members that take
+cleared integers (`quotient_sum`, `project_out`, `inverse`) never divide, so
+a computation can run on integers and divide once at the end; their float
+branches are the plain float formulas.
 
 Every verdict in the package goes through one of two rules defined here:
 `Mode.equal` for two scalars and `KForm.is_zero` for a form. Exact mode never
@@ -32,7 +36,7 @@ from fractions import Fraction
 from itertools import combinations
 from numbers import Real
 
-from ._linalg import MinorTable, frac, rational_root
+from ._linalg import MinorTable, frac, mat_inv, project_out, rational_root
 
 MAX_DIM = 10
 
@@ -114,6 +118,47 @@ class Mode(Enum):
             return values, 1
         d = math.lcm(*(x.denominator for x in values))
         return [x.numerator * (d // x.denominator) for x in values], d
+
+    def quotient_sum(self, terms) -> tuple:
+        """(n, d) with n / d = sum(a / b for a, b in terms), b > 0: in exact mode
+        integers over the lcm of the b (integer terms, nothing divides); in float
+        mode the sum term by term and d = 1."""
+        if self is Mode.FLOAT:
+            return sum(a / b for a, b in terms), 1
+        terms = list(terms)
+        d = math.lcm(*(b for _, b in terms))
+        return sum(a * (d // b) for a, b in terms), d
+
+    def project_out(self, w, u, wu, uu) -> list:
+        """The Gram-Schmidt step: w without its component along u, given
+        wu = <w, u> and uu = <u, u> > 0. Exact mode takes integer vectors and
+        returns (uu w - wu u) / content, a positive multiple of w - (wu / uu) u
+        in integers; float mode returns w - (wu / uu) u itself."""
+        if self is Mode.FLOAT:
+            return project_out(w, u, wu, uu)
+        if not wu:
+            return w
+        v = [uu * x - wu * y for x, y in zip(w, u)]
+        c = math.gcd(*v)
+        return [x // c for x in v] if c > 1 else v
+
+    def inverse(self, a) -> tuple:
+        """(b, d) with a^-1 = b / d: in exact mode the adjugate and determinant of
+        an integer matrix (cofactors from one `MinorTable`, no division); in
+        float mode `mat_inv(a)`, pivoting on the largest entry, and d = 1.
+        Raises ZeroDivisionError when a is singular."""
+        if self is Mode.FLOAT:
+            return mat_inv(a), 1
+        n = len(a)
+        full = (1 << n) - 1
+        minor = MinorTable(a)
+        det = minor(full, full)
+        if not det:
+            raise ZeroDivisionError("singular matrix")
+        cofactor = [[minor(full ^ (1 << j), full ^ (1 << i)) for j in range(n)]
+                    for i in range(n)]
+        return tuple(tuple(-c if (i + j) & 1 else c for j, c in enumerate(row))
+                     for i, row in enumerate(cofactor)), det
 
     def encode(self, x):
         """A scalar for JSON: the exact value as a string, or a float."""

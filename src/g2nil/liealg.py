@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from ._linalg import (Mat, Vec, dot, gram_schmidt_sq, mat_inv, mat_mul, mat_vec, nullspace,
                       row_space_basis, rref, transpose)
 from .exterior import (DegenerateError, G2nilError, KForm, MetricContext, Mode, ModeMismatchError,
-                       _merge_sign)
+                       _indices_from_mask, _merge_sign)
 
 __all__ = [
     "LieAlgebra", "Metric", "jz_matrix", "ricci_operator", "NilsolitonReport", "is_nilsoliton",
@@ -50,14 +51,13 @@ class LieAlgebra:
             if f.mode is not Mode.EXACT or f.dim != self.dim or f.degree != 2:
                 raise ValueError("d must be a list of exact 2-forms, one per covector")
         self.d_forms = tuple(d_forms)
-        # per-mode caches: the d e^k as (mask, numerator) terms over one common
-        # denominator, and the bracket table, in the mode's scalars
-        self._d: dict[Mode, tuple[tuple[tuple[tuple[int, object], ...], ...], int]] = {}
-        self._brackets: dict[Mode, dict[tuple[int, int], tuple]] = {}
+        # per-mode caches: the structure constants cleared once (`_structure`),
+        # and the adapted basis as cleared Gram-Schmidt start vectors
+        self._constants: dict[Mode, tuple] = {}
+        self._starts: dict[Mode, tuple] = {}
         # metric-independent invariants, computed on first use
         self._derived: tuple[Vec, ...] | None = None
         self._center: tuple[Vec, ...] | None = None
-        self._adapted: tuple[Vec, ...] | None = None
         self._two_step: bool | None = None
 
     # -- construction ------------------------------------------------------
@@ -100,26 +100,43 @@ class LieAlgebra:
 
     # -- differential and brackets ------------------------------------------
 
+    def _structure(self, mode: Mode) -> tuple:
+        """(d_terms, brackets, s), built once per mode from one `Mode.cleared`
+        pass over all structure constants, so that every reader shares the
+        numerators over one denominator s (integers in exact mode, s = 1 in
+        float mode): d e^k = sum of numerator * e^mask over d_terms[k - 1], divided
+        by s, and [f_a, f_b] = sum of numerator * f_(k+1) over the (k, numerator)
+        pairs of brackets[(a, b)] (a, b 1-based), divided by s."""
+        cached = self._constants.get(mode)
+        if cached is None:
+            nums, s = mode.cleared([mode.convert(c) for f in self.d_forms
+                                    for c in f._terms.values()])
+            it = iter(nums)
+            d_terms = tuple(tuple((m, next(it)) for m in f._terms) for f in self.d_forms)
+            n = self.dim
+            cols: dict[tuple[int, int], dict[int, object]] = {
+                (i, j): {} for i in range(1, n + 1) for j in range(1, n + 1)}
+            for k, terms in enumerate(d_terms):
+                for m, c in terms:
+                    i, j = _indices_from_mask(m)
+                    cols[(i, j)][k], cols[(j, i)][k] = -c, c
+            brackets = {ij: tuple(sorted(col.items())) for ij, col in cols.items()}
+            cached = self._constants[mode] = (d_terms, brackets, s)
+        return cached
+
     def ce_diff(self, form: KForm) -> KForm:
         """Chevalley-Eilenberg differential, extended as an antiderivation.
 
         One pass over cleared numerators (integers in exact mode): for the
         indices i_0 < i_1 < ... of e^m, d(c e^m) = sum_p (-1)^p c d e^(i_p) ^
-        e^(m - i_p), with each d e^i cached as (mask, numerator) terms. The sum
-        is divided by the denominators once, at the end. Input terms are read
-        in sorted mask order, so a float sum always runs in one order.
+        e^(m - i_p), with each d e^i read from `_structure`. The sum is divided
+        by the denominators once, at the end. Input terms are read in sorted
+        mask order, so a float sum always runs in one order.
         """
         if form.dim != self.dim:
             raise ValueError("form dimension mismatch")
         mode = form.mode
-        cached = self._d.get(mode)
-        if cached is None:
-            nums, d_den = mode.cleared([mode.convert(c) for f in self.d_forms
-                                        for c in f._terms.values()])
-            it = iter(nums)
-            cached = self._d[mode] = (
-                tuple(tuple((m, next(it)) for m in f._terms) for f in self.d_forms), d_den)
-        d_terms, d_den = cached
+        d_terms, _brackets, d_den = self._structure(mode)
         masks = sorted(form._terms)
         nums, den = mode.cleared([form._terms[m] for m in masks])
         acc: dict[int, object] = {}
@@ -139,47 +156,44 @@ class LieAlgebra:
         return KForm(self.dim, min(form.degree + 1, self.dim),
                      {key: mode.div(v, den) for key, v in acc.items() if v}, mode)
 
-    def _bracket_table(self, mode: Mode = Mode.EXACT) -> dict[tuple[int, int], tuple]:
-        """[f_a, f_b] for all basis pairs, as vectors of the mode's scalars
-        (Fraction or float); built once per mode."""
-        table = self._brackets.get(mode)
-        if table is None:
-            n = self.dim
-            cols = {(i, j): [mode.convert(0)] * n for i in range(1, n + 1) for j in range(1, n + 1)}
-            for k, form in enumerate(self.d_forms):
-                for (i, j), c in form.terms():
-                    cols[(i, j)][k], cols[(j, i)][k] = mode.convert(-c), mode.convert(c)
-            table = self._brackets[mode] = {ij: tuple(v) for ij, v in cols.items()}
-        return table
+    def _bracket_num(self, x: Sequence, y: Sequence, mode: Mode) -> list:
+        """s [x, y] for vectors of the mode's cleared scalars (integers in exact
+        mode give integers), with s the denominator of `_structure`; the terms
+        are summed in the order (index of x, index of y, output index)."""
+        brackets = self._structure(mode)[1]
+        out = [mode.zero] * self.dim
+        for i, ci in enumerate(x, 1):
+            if ci:
+                for j, cj in enumerate(y, 1):
+                    if cj:
+                        scale = ci * cj
+                        for k, wk in brackets[(i, j)]:
+                            out[k] += scale * wk
+        return out
 
     def bracket_basis(self, a: int, b: int) -> Vec:
-        """[f_a, f_b] as a coefficient vector (a, b are 1-based)."""
-        return self._bracket_table()[(a, b)]
+        """[f_a, f_b] as an exact coefficient vector (a, b are 1-based)."""
+        _d_terms, brackets, s = self._structure(Mode.EXACT)
+        out = [Fraction(0)] * self.dim
+        for k, c in brackets[(a, b)]:
+            out[k] = Fraction(c, s)
+        return tuple(out)
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple:
         """[x, y] for vectors given by their coefficient sequences.
 
         The first nonzero coefficient (of x, else of y, else x[0]) sets the
         mode. If it is a float (numpy's float64 included), the result is a
-        vector of Python floats read off the float bracket table; otherwise
-        the result is exact, and `Mode.convert` rejects any later float.
+        vector of Python floats; otherwise the result is exact, and
+        `Mode.convert` rejects any later float. Both vectors are cleared to
+        numerators and the sum `_bracket_num` is divided once per entry.
         """
-        xs = [(i, c) for i, c in enumerate(x, 1) if c]
-        ys = [(j, c) for j, c in enumerate(y, 1) if c]
-        first = xs[0][1] if xs else ys[0][1] if ys else x[0]
+        first = next((c for c in (*x, *y) if c), x[0])
         mode = Mode.FLOAT if isinstance(first, float) else Mode.EXACT
-        table = self._bracket_table(mode)
-        xs = [(i, mode.convert(c)) for i, c in xs]
-        ys = [(j, mode.convert(c)) for j, c in ys]
-        out = [mode.convert(0)] * self.dim
-        for i, ci in xs:
-            for j, cj in ys:
-                if i != j:
-                    scale = ci * cj
-                    for k, wk in enumerate(table[(i, j)]):
-                        if wk:
-                            out[k] += scale * wk
-        return tuple(out)
+        xs, dx = mode.cleared([mode.convert(c) for c in x])
+        ys, dy = mode.cleared([mode.convert(c) for c in y])
+        den = dx * dy * self._structure(mode)[2]
+        return tuple(mode.div(v, den) for v in self._bracket_num(xs, ys, mode))
 
     # -- distinguished subspaces ---------------------------------------------
 
@@ -211,18 +225,23 @@ class LieAlgebra:
                                      for i in range(self.dim))
         return self._center
 
-    def _adapted_basis(self) -> tuple[Vec, ...]:
-        """Basis of R^n adapted to n' ⊂ center: the derived basis, then the center
-        and then the coordinate vectors that raise the (exact) rank, i.e. the
-        pivot columns. Metric free, so it orients the metric split alike in both
-        modes; computed once."""
-        if self._adapted is None:
+    def _gram_schmidt_starts(self, mode: Mode) -> tuple[tuple, ...]:
+        """The metric-free basis of R^n adapted to n' ⊂ center that `decompose`
+        orthogonalizes, cleared once per mode: the derived basis, then the
+        center and then the coordinate vectors that raise the (exact) rank, i.e.
+        the pivot columns. Vector v_i comes as (v_i | e_i), cleared to integers
+        in exact mode (primitive, since e_i has a 1); the e_i half carries v_i's
+        coefficient through Gram-Schmidt, as mat_inv's [A | I] does."""
+        starts = self._starts.get(mode)
+        if starts is None:
             n = self.dim
             units = [tuple(Fraction(int(i == k)) for i in range(n)) for k in range(n)]
             candidates = (*self.derived_basis(), *self.center_basis(), *units)
             _reduced, pivots = rref(transpose(candidates))
-            self._adapted = tuple(candidates[j] for j in pivots)
-        return self._adapted
+            starts = self._starts[mode] = tuple(
+                tuple(mode.cleared([mode.convert(x) for x in (*candidates[j], *units[i])])[0])
+                for i, j in enumerate(pivots))
+        return starts
 
     def is_two_step(self) -> bool:
         """Nonabelian with [g, [g, g]] = 0, i.e. derived algebra is central."""
@@ -261,6 +280,7 @@ class Metric:
         self._nonzero = tuple(tuple((j, gij) for j, gij in enumerate(row) if gij)
                               for row in self.rows)
         self._ctx: MetricContext | None = None
+        self._G: tuple[Callable, object] | None = None
 
     @classmethod
     def identity(cls, dim: int, mode: Mode = Mode.EXACT) -> "Metric":
@@ -284,17 +304,22 @@ class Metric:
         One loop for both modes: an exact metric gives a Fraction, a float
         metric a float.
         """
-        total = self._zero
-        for yi, row in zip(y, self._nonzero):
-            if yi:
-                acc = 0
-                for j, gij in row:
-                    xj = x[j]
-                    if xj:
-                        acc += gij * xj
-                if acc:
-                    total += acc * yi
-        return total
+        return _bilinear(self._nonzero, self._zero, x, y)
+
+    def cleared(self) -> tuple[Callable, object]:
+        """(ip, den) with g = G / den and ip(x, y) = G(x, y), summed like `inner`.
+
+        Exact mode: G is g's integer matrix over the lcm den of its
+        denominators, so integer vectors give an integer. Float mode: G = g,
+        den = 1, and ip is `inner`. Built once per metric.
+        """
+        if self._G is None:
+            entries, den = self.mode.cleared([x for row in self.rows for x in row])
+            n = self.dim
+            rows = tuple(tuple((j, x) for j, x in enumerate(entries[i * n:(i + 1) * n]) if x)
+                         for i in range(n))
+            self._G = partial(_bilinear, rows, self.mode.zero), den
+        return self._G
 
     def norm_sq(self, x: Sequence):
         return self.inner(x, x)
@@ -333,19 +358,52 @@ def _has_float(data) -> bool:
     return any(isinstance(x, float) for row in data for x in row)
 
 
+def _bilinear(rows, zero, x: Sequence, y: Sequence):
+    """sum_i (sum_j a_ij x_j) y_i for a matrix given as (j, a_ij) over the
+    nonzero entries of each row, skipping zero y_i and x_j; starts at zero."""
+    total = zero
+    for yi, row in zip(y, rows):
+        if yi:
+            acc = 0
+            for j, gij in row:
+                xj = x[j]
+                if xj:
+                    acc += gij * xj
+            if acc:
+                total += acc * yi
+    return total
+
+
+def _jmap(L: LieAlgebra, ip: Callable, z: Sequence, basis: Sequence[Sequence],
+          mode: Mode) -> tuple:
+    """(E, d) with E / d the matrix of j(z) on span(basis), for vectors and
+    inner product over cleared scalars (`Metric.cleared`): with G the cleared
+    metric, G(j(z) x, y) = G(z, s[x, y]), s the structure denominator. Exact
+    mode keeps integers throughout (`Mode.inverse`); float mode is
+    mat_inv(gram) times the bracket matrix."""
+    m = len(basis)
+    gram = tuple(tuple(ip(u, w) for w in basis) for u in basis)
+    c = tuple(tuple(ip(z, L._bracket_num(basis[j], basis[i], mode)) for j in range(m))
+              for i in range(m))
+    adj, d = mode.inverse(gram)
+    return mat_mul(adj, c), d
+
+
 def jz_matrix(L: LieAlgebra, g: Metric, z: Sequence, basis: Sequence[Sequence]) -> list[list]:
     """Matrix of the skew map j(z) on the span of `basis`.
 
     j(z) is defined by g(j(z) x, y) = g(z, [x, y]); columns are coordinates
-    with respect to `basis`, which must span a j(z)-invariant subspace.
+    with respect to `basis`, which must span a j(z)-invariant subspace. z and
+    the basis are cleared to numerators (z = z' / d_z, b_i = b_i' / d_i), and
+    `_jmap` gives E / d for them, so entry (i, j) is E_ij d_i / (d s d_z d_j),
+    one division.
     """
-    m = len(basis)
-    z = g.as_vector(z)
-    bb = [g.as_vector(w) for w in basis]
-    gram = tuple(tuple(g.inner(u, w) for w in bb) for u in bb)
-    c = tuple(tuple(g.inner(z, L.bracket(bb[j], bb[i])) for j in range(m))
-              for i in range(m))
-    return [list(row) for row in mat_mul(mat_inv(gram), c)]
+    mode = g.mode
+    (z, dz), *cleared = [mode.cleared([mode.convert(c) for c in v]) for v in (z, *basis)]
+    E, d = _jmap(L, g.cleared()[0], z, [v for v, _ in cleared], mode)
+    scale = d * L._structure(mode)[2] * dz
+    return [[mode.div(e * di, scale * dj) for e, (_, dj) in zip(row, cleared)]
+            for row, (_, di) in zip(E, cleared)]
 
 
 def _unit_vectors(g: Metric) -> list[tuple]:
@@ -368,10 +426,13 @@ def ricci_operator(L: LieAlgebra, g: Metric):
     zs, p = gram_schmidt_sq([g.as_vector(z) for z in L.derived_basis()], g.inner)
     g_inv = mat_inv(g.rows)
     gz = [mat_vec(g.rows, z) for z in zs]
-    table = L._bracket_table(g.mode)
-    A = [mat_mul(g_inv, tuple(tuple(dot(w, table[(a, b)]) for b in range(1, n + 1))
-                              for a in range(1, n + 1)))
-         for w in gz]
+    _d_terms, brackets, s = L._structure(g.mode)
+    A = []
+    for w in gz:
+        ws = [g.mode.div(x, s) for x in w]  # g(z_k, .) / s, so C_k reads the numerators
+        C = tuple(tuple(sum(ws[k] * c for k, c in brackets[(a, b)] if ws[k])
+                        for b in range(1, n + 1)) for a in range(1, n + 1))
+        A.append(mat_mul(g_inv, C))
     squares = [(mat_mul(Ak, Ak), 2 * pk) for Ak, pk in zip(A, p)]
     rc = [[sum(sq[a][b] / d for sq, d in squares) for b in range(n)] for a in range(n)]
     AT = [transpose(Ak) for Ak in A]

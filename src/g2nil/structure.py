@@ -46,7 +46,7 @@ from ._linalg import gram_schmidt_sq
 from ._radicals import Surd
 from .exterior import (DegenerateError, ExactnessError, KForm, Mode,
                        close, form_inner, resolve_tolerance)
-from .liealg import LieAlgebra, Metric, UnsupportedAlgebraError, jz_matrix
+from .liealg import LieAlgebra, Metric, UnsupportedAlgebraError, _jmap
 
 __all__ = [
     "UnsupportedAlgebraError", "MetricDecomposition", "decompose",
@@ -62,17 +62,27 @@ __all__ = [
 
 @dataclass
 class MetricDecomposition:
+    """The metric split, from one Gram-Schmidt pass over cleared scalars.
+
+    `basis` is Gram-Schmidt of the adapted basis (n', then a, then
+    center-perp) in the cleared metric G = den * g of `Metric.cleared`, with
+    `Mode.project_out` as the step: integer vectors in exact mode. Each is
+    own[i] > 0 times the vector w_i that Gram-Schmidt over g gives (the
+    adapted vector minus its projections), and `norms` are their G-squared
+    norms. The public bases divide once: `zs`, `complement`, `abelian` and
+    `rtilde` hold the w_i, `p` and `complement_sq` their g-squared norms
+    norms[i] / (den own[i]^2). Float mode has den = 1 and own = 1.
+    """
+
     L: LieAlgebra
     g: Metric
     mode: Mode
     nprime: list          # basis of the derived algebra (always exact)
-    complement: list      # orthogonal basis of r = n'-perp: center-perp, then a
     center: list          # basis of the center (always exact)
-    abelian: list         # orthogonal basis of a = center ∩ n'-perp
-    rtilde: list          # canonical oriented 4-plane: complement[:4] (dim n' in {2,3})
-    zs: list              # orthogonal basis of n': Gram-Schmidt of nprime
-    p: list               # squared norms of zs
-    complement_sq: list   # squared norms of complement
+    basis: list           # cleared Gram-Schmidt vectors: n', then a, then center-perp
+    own: list             # basis[i] = own[i] * w_i
+    norms: list           # G(basis[i], basis[i])
+    den: object           # g = G / den
 
     @property
     def derived_dim(self) -> int:
@@ -80,7 +90,57 @@ class MetricDecomposition:
 
     @property
     def abelian_dim(self) -> int:
-        return len(self.abelian)
+        return len(self.center) - len(self.nprime)
+
+    @property
+    def complement_order(self) -> list[int]:
+        """Indices into `basis` of r = n'-perp: center-perp, then a."""
+        k, c = len(self.nprime), len(self.center)
+        return [*range(c, len(self.basis)), *range(k, c)]
+
+    @property
+    def plane_order(self) -> list[int]:
+        """Indices of the canonical oriented 4-plane: the first four of r
+        (dim n' in {2, 3}, and a != 0 when dim n' = 2), else none."""
+        k = self.derived_dim
+        return self.complement_order[:4] if k == 3 or (k == 2 and self.abelian_dim) else []
+
+    def _vectors(self, indices) -> list:
+        return [tuple(self.mode.div(x, self.own[i]) for x in self.basis[i]) for i in indices]
+
+    def _norms_sq(self, indices) -> list:
+        return [self.mode.div(self.norms[i], self.den * self.own[i] * self.own[i])
+                for i in indices]
+
+    @property
+    def zs(self) -> list:
+        """Orthogonal basis of n': Gram-Schmidt of nprime."""
+        return self._vectors(range(self.derived_dim))
+
+    @property
+    def p(self) -> list:
+        """Squared norms of zs."""
+        return self._norms_sq(range(self.derived_dim))
+
+    @property
+    def complement(self) -> list:
+        """Orthogonal basis of r = n'-perp: center-perp, then a."""
+        return self._vectors(self.complement_order)
+
+    @property
+    def complement_sq(self) -> list:
+        """Squared norms of complement."""
+        return self._norms_sq(self.complement_order)
+
+    @property
+    def abelian(self) -> list:
+        """Orthogonal basis of a = center ∩ n'-perp."""
+        return self._vectors(range(self.derived_dim, len(self.center)))
+
+    @property
+    def rtilde(self) -> list:
+        """The canonical oriented 4-plane: complement[:4] (dim n' in {2, 3})."""
+        return self._vectors(self.plane_order)
 
 
 def decompose(L: LieAlgebra, g: Metric) -> MetricDecomposition:
@@ -95,15 +155,13 @@ def decompose(L: LieAlgebra, g: Metric) -> MetricDecomposition:
     if not 1 <= len(nprime) <= 3:
         raise UnsupportedAlgebraError(
             f"derived algebra has dimension {len(nprime)}; supported: 1, 2, 3")
-    center = L.center_basis()
-    k, c = len(nprime), len(center)
-    # the adapted basis starts with nprime, so ws[:k] is Gram-Schmidt of nprime
-    ws, norms = gram_schmidt_sq([g.as_vector(v) for v in L._adapted_basis()], g.inner)
-    abelian = ws[k:c]
-    complement = ws[c:] + abelian
-    rtilde = complement[:4] if k == 3 or (k == 2 and abelian) else []
-    return MetricDecomposition(L, g, g.mode, nprime, complement, center, abelian, rtilde,
-                               ws[:k], norms[:k], norms[c:] + norms[k:c])
+    mode = g.mode
+    ip, den = g.cleared()
+    # each start vector is (v_i | e_i): its second half ends as v_i's coefficient
+    ws, norms = gram_schmidt_sq(L._gram_schmidt_starts(mode), ip, mode.project_out)
+    n = L.dim
+    return MetricDecomposition(L, g, mode, nprime, L.center_basis(), [w[:n] for w in ws],
+                               [w[n + i] for i, w in enumerate(ws)], norms, den)
 
 
 # ---------------------------------------------------------------------------
@@ -148,16 +206,19 @@ def case1_exists(D: MetricDecomposition, tol: float | None = None) -> CriterionR
     """Purely coclosed existence for dim n' = 1: tr^2(A^2) = 4 tr(A^4)."""
     if D.derived_dim != 1:
         raise UnsupportedAlgebraError("case 1 requires a 1-dimensional derived algebra")
-    z = D.nprime[0]
-    J = jz_matrix(D.L, D.g, z, D.complement)
-    m = len(J)
-    # A = -J; traces of even powers are insensitive to the sign
-    J2 = [[sum(J[i][k] * J[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
-    tr2 = sum(J2[i][i] for i in range(m))
-    tr4 = sum(sum(J2[i][k] * J2[k][i] for k in range(m)) for i in range(m))
-    lhs, rhs = tr2 * tr2, 4 * tr4
-    exists = D.mode.equal(lhs, rhs, tol)
-    witness = {"z": [str(c) for c in z]} if exists else None
+    mode = D.mode
+    E, d = _jmap(D.L, D.g.cleared()[0], D.basis[0], [D.basis[i] for i in D.complement_order],
+                 mode)
+    m = len(E)
+    # A = -j(z) for z = nprime[0] is similar to -E / (d s own_0), so tr A^2 and
+    # tr A^4 are those of E over the 2nd and 4th power; even powers drop the sign
+    E2 = [[sum(E[i][k] * E[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
+    tr2 = sum(E2[i][i] for i in range(m))
+    tr4 = sum(sum(E2[i][k] * E2[k][i] for k in range(m)) for i in range(m))
+    unit = (d * D.L._structure(mode)[2] * D.own[0]) ** 4
+    lhs, rhs = mode.div(tr2 * tr2, unit), mode.div(4 * tr4, unit)
+    exists = mode.equal(lhs, rhs, tol)
+    witness = {"z": [str(c) for c in D.nprime[0]]} if exists else None
     return CriterionReport(1, "purely", exists, None, witness,
                            {"lhs": lhs, "rhs": rhs,
                             "identity": "tr^2(A^2) = 4 tr(A^4)"}, D.mode)
@@ -168,22 +229,28 @@ def case1_exists(D: MetricDecomposition, tol: float | None = None) -> CriterionR
 
 
 def _beta_coords(D: MetricDecomposition):
-    """2-forms d(z_i^b) restricted to the canonical 4-plane.
+    """2-forms d(z_i^b) restricted to the canonical 4-plane, over cleared scalars.
 
-    Returns (p, K, W, Q): squared norms p_i of an orthogonal basis of n';
-    K_ij = <beta_i, beta_j> in the orthonormal frame of the plane;
-    W_ij = coefficient of beta_i ∧ beta_j on the plane's orthonormal volume,
-    times sqrt(Q); Q = product of the plane basis squared norms. All exact
-    (or float, following the metric mode). beta_i(x, y) = -g(z_i, [x, y]).
+    Returns (p, K, W, Q) for the vectors z_i = D.basis[:k] of n' and w_a of
+    the plane in the cleared metric G (`MetricDecomposition`):
+    p_i = G(z_i, z_i); B_i(a, b) = -G(z_i, s[w_a, w_b]);
+    K_ij = sum_ab B_i(a, b) B_j(a, b) / (q_a q_b) as (numerator, denominator)
+    from `Mode.quotient_sum`; W_ij = (B_i ∧ B_j)(w_1, w_2, w_3, w_4);
+    Q = q_1 q_2 q_3 q_4 with q_a = G(w_a, w_a). Integers in exact mode.
+    Positive multiples of the vectors leave the identity's verdict alone;
+    `_trace_identity` takes den and s back out.
     """
-    L, g, zs, p = D.L, D.g, D.zs, D.p
-    ws, q = D.rtilde, D.complement_sq[:4]
-    k = len(zs)
-    # beta_i(w_a, w_b) for a < b
+    L, mode = D.L, D.mode
+    ip = D.g.cleared()[0]
+    k = D.derived_dim
+    zs, p = D.basis[:k], D.norms[:k]
+    ws = [D.basis[i] for i in D.plane_order]
+    q = [D.norms[i] for i in D.plane_order]
     pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-    B = [{(a, b): -g.inner(z, L.bracket(ws[a], ws[b])) for (a, b) in pairs} for z in zs]
-    K = [[sum(B[i][ab] * B[j][ab] / (q[ab[0]] * q[ab[1]]) for ab in pairs) for j in range(k)]
-         for i in range(k)]
+    brackets = [L._bracket_num(ws[a], ws[b], mode) for a, b in pairs]
+    B = [{ab: -ip(z, w) for ab, w in zip(pairs, brackets)} for z in zs]
+    K = [[mode.quotient_sum((B[i][ab] * B[j][ab], q[ab[0]] * q[ab[1]]) for ab in pairs)
+          for j in range(k)] for i in range(k)]
     # (beta_i ∧ beta_j)(w1, w2, w3, w4) over the six (2,2)-shuffles
     W = [[B[i][(0, 1)] * B[j][(2, 3)] - B[i][(0, 2)] * B[j][(1, 3)]
           + B[i][(0, 3)] * B[j][(1, 2)] + B[j][(0, 1)] * B[i][(2, 3)]
@@ -204,46 +271,73 @@ def _x_matrix(K, W, root, s: int):
     return [[a + s * b * root for a, b in zip(ka, wa)] for ka, wa in zip(K, W)]
 
 
-def _trace(p, x):
-    """tr S = sum_i x_ii / (2 p_i)."""
-    return sum(x[i][i] / (2 * p[i]) for i in range(len(p)))
+def _trace(p, x, mode: Mode):
+    """tr S = sum_i x_ii / (2 p_i), for x as (numerator, denominator) entries."""
+    return mode.quotient_sum((x[i][i][0], 2 * p[i] * x[i][i][1]) for i in range(len(p)))
 
 
-def _trace_pair(p, x, y):
-    """tr(S_x S_y) = sum_ij x_ij y_ji / (4 p_i p_j)."""
+def _trace_pair(p, x, y, mode: Mode):
+    """tr(S_x S_y) = sum_ij x_ij y_ji / (4 p_i p_j), likewise."""
     k = len(p)
-    return sum(x[i][j] * y[j][i] / (4 * p[i] * p[j]) for i in range(k) for j in range(k))
+    return mode.quotient_sum((x[i][j][0] * y[j][i][0], 4 * p[i] * p[j] * x[i][j][1] * y[j][i][1])
+                             for i in range(k) for j in range(k))
 
 
-def _trace_identity(p, K, W, Q, mode: Mode, tol):
+def _surd_float(a, b, t) -> float:
+    """a + b sqrt(t) as a float, for rationals a, b and t >= 0; b itself may lie
+    outside the float range."""
+    r = math.sqrt(b * b * t)
+    return float(a) + (r if b >= 0 else -r)
+
+
+def _trace_identity(p, K, W, Q, unit, mode: Mode, tol):
     """Evaluate tr^2(S) ?= 2 tr(S^2) for both orientations.
 
-    S_or = (K + or * W * sqrt(T)) / (2 sqrt(p_i p_j)) with T = 1/Q. Returns
-    (exists, orientation, pairs) with pairs mapping "+"/"-" to a (lhs, rhs)
-    tuple: Fractions when sqrt(T) is rational, floats otherwise.
+    p, K, W, Q come from `_beta_coords`, and S_or = (den / s^2) (K + or W sqrt(T))
+    / (2 sqrt(p_i p_j)) with T = 1/Q, unit = (den, s^2): entry by entry,
+    x = K + or W sqrt(T) is kept as (numerator, denominator), the traces are
+    `quotient_sum`s and lhs and rhs divide once. Returns (exists, orientation,
+    pairs) with pairs mapping "+"/"-" to a (lhs, rhs) tuple: Fractions when
+    sqrt(T) is rational, floats otherwise.
     """
-    T = 1 / Q
+    T = mode.div(1, Q)
     root = mode.root(T, 2)
-    irrational = root is None
-    if irrational:
-        root = math.sqrt(T)
+    if root is None:
+        return _irrational_identity(p, K, W, T, unit, mode, tol)
+    (rn,), rd = mode.cleared([root])
+    un, ud = unit
     pairs, verdicts = {}, {}
     for orient, s in (("+", 1), ("-", -1)):
-        x = _x_matrix(K, W, root, s)
-        tr = _trace(p, x)
-        pairs[orient] = lhs, rhs = tr * tr, 2 * _trace_pair(p, x, x)
-        verdicts[orient] = not irrational and mode.equal(lhs, rhs, tol)
-    if irrational:
-        # tr S = A + s B sqrt(T) and tr S^2 = C + s E sqrt(T): the rational and
-        # radical parts must vanish separately, so the verdict is orientation
-        # independent (conjugation swaps S_+ and S_-)
-        A, B = _trace(p, K), _trace(p, W)
-        C = _trace_pair(p, K, K) + T * _trace_pair(p, W, W)
-        E = 2 * _trace_pair(p, K, W)
-        verdicts["+"] = (mode.equal(A * A + B * B * T, 2 * C, tol)
-                         and mode.equal(A * B, E, tol))
+        x = [[(kn * rd + s * w * rn * kd, kd * rd) for (kn, kd), w in zip(krow, wrow)]
+             for krow, wrow in zip(K, W)]
+        tr, trd = _trace(p, x, mode)
+        sq, sqd = _trace_pair(p, x, x, mode)
+        pairs[orient] = lhs, rhs = (mode.div(tr * tr * un * un, trd * trd * ud * ud),
+                                    mode.div(2 * sq * un * un, sqd * ud * ud))
+        verdicts[orient] = mode.equal(lhs, rhs, tol)
     orient = "+" if verdicts["+"] else ("-" if verdicts["-"] else None)
     return orient is not None, orient, pairs
+
+
+def _irrational_identity(p, K, W, T, unit, mode: Mode, tol):
+    """`_trace_identity` for an exact metric with irrational sqrt(T).
+
+    tr S = u (A + s B sqrt(T)) and tr S^2 = u^2 (C + s E sqrt(T)) with A, B,
+    C, E rational and u = den / s^2: the identity holds iff A^2 + B^2 T = 2C
+    and AB = E, the rational and radical parts separately, so the verdict does
+    not depend on the orientation (conjugation swaps S_+ and S_-). The lhs and
+    rhs come out as floats.
+    """
+    Wx = [[(w, 1) for w in row] for row in W]
+    A, B = (mode.div(*_trace(p, x, mode)) for x in (K, Wx))
+    C = mode.div(*_trace_pair(p, K, K, mode)) + T * mode.div(*_trace_pair(p, Wx, Wx, mode))
+    E = 2 * mode.div(*_trace_pair(p, K, Wx, mode))
+    exists = mode.equal(A * A + B * B * T, 2 * C, tol) and mode.equal(A * B, E, tol)
+    u = mode.div(*unit)
+    pairs = {orient: (_surd_float(u * A, s * u * B, T) ** 2,
+                      2 * _surd_float(u * u * C, s * u * u * E, T))
+             for orient, s in (("+", 1), ("-", -1))}
+    return exists, "+" if exists else None, pairs
 
 
 def _identity_diagnostics(orient, pairs) -> dict:
@@ -258,12 +352,25 @@ def sd_gram(D: MetricDecomposition, orientation: int = 1):
     4-plane, for the given orientation (+1 or -1).
 
     Exact mode: entries are Fractions when rational and Surd values otherwise;
-    float mode: plain floats.
+    float mode: plain floats. The roots are taken of p and Q for the public
+    bases (`zs`, `rtilde`), whose radicands are the smallest at hand.
     """
-    if not D.rtilde:
+    if not D.plane_order:
         raise DegenerateError("no canonical 4-plane (abelian part is trivial)")
-    p, K, W, Q = _beta_coords(D)
-    sqrt = _SQRT[D.mode]
+    mode = D.mode
+    _p, K, W, _Q = _beta_coords(D)
+    # K and W of `_beta_coords` for the public bases: divide out den, s and own
+    s2 = D.L._structure(mode)[2] ** 2
+    mu = D.own[:D.derived_dim]
+    nu = D.own[D.plane_order[0]] * D.own[D.plane_order[1]] \
+        * D.own[D.plane_order[2]] * D.own[D.plane_order[3]]
+    K = [[mode.div(kn, kd * s2 * mi * mj) for (kn, kd), mj in zip(row, mu)]
+         for row, mi in zip(K, mu)]
+    W = [[mode.div(w, D.den * D.den * s2 * mi * mj * nu) for w, mj in zip(row, mu)]
+         for row, mi in zip(W, mu)]
+    p, q = D.p, D.complement_sq[:4]
+    Q = q[0] * q[1] * q[2] * q[3]
+    sqrt = _SQRT[mode]
     try:
         x = _x_matrix(K, W, sqrt(1 / Q), orientation)
     except ValueError as exc:
@@ -289,7 +396,8 @@ def selfdual_exists(D: MetricDecomposition, tol: float | None = None) -> Criteri
                                {"lhs": None, "rhs": None, "abelian_dim": 0,
                                 "reason": "no coclosed structures: center equals "
                                           "the derived algebra"}, D.mode)
-    exists, orient, pairs = _trace_identity(*_beta_coords(D), D.mode, tol)
+    unit = (D.den, D.L._structure(D.mode)[2] ** 2)
+    exists, orient, pairs = _trace_identity(*_beta_coords(D), unit, D.mode, tol)
     witness = {"rtilde": [[D.mode.encode(x) for x in v] for v in D.rtilde],
                "orientation": orient} if exists else None
     return CriterionReport(case, "purely", exists, orient, witness,
@@ -357,14 +465,14 @@ def _polar(Mf: np.ndarray, tol: float | None):
     Returns (Omega, U, sv, tie) with M = U diag(sv) V^T and Omega =
     U diag(1, 1, s) V^T, so that M Omega^T is symmetric positive semidefinite
     (Higham, SIAM J. Sci. Stat. Comput. 7, 1986). Singular values within
-    tie = tolerance * (1 + max|M|) of 0 count as 0, and where the SVD's basis
-    is arbitrary Omega does not depend on it:
+    tie = tolerance * max|M| of 0 count as 0, a bound that scales with M, and
+    where the SVD's basis is arbitrary Omega does not depend on it:
     * sv_3 = 0: s makes det Omega = +1 (otherwise s = 1);
     * sv_2 = 0 too: Omega = I - 2 w w^T / |w|^2 for the longer w of
       u_1 -+ v_1, which maps v_1 to +-u_1 (M Omega^T = +-sv_1 u_1 u_1^T);
     * sv_1 = 0: Omega = I.
     """
-    tie = resolve_tolerance(tol) * (1.0 + float(np.max(np.abs(Mf))))
+    tie = resolve_tolerance(tol) * float(np.max(np.abs(Mf)))
     U, sv, Vt = np.linalg.svd(Mf)
     if sv[0] <= tie:
         return np.eye(3), U, sv, tie
@@ -385,7 +493,9 @@ def symmetrize_M(M, tol: float | None = None) -> dict:
     the left singular vector of a, or, when a ties with b (singular values
     (a, a, 0)), the first column M e_j with |M e_j| >= a/2, normalised. Then
     A = M P has eigenvalues -a, b and +-c. P = I when M is 0 to the
-    tolerance. Raises DegenerateError when the identity fails.
+    tolerance. Raises DegenerateError when the identity fails. Every check is
+    relative to M's own scale (tr^2 S + 2 tr S^2, max|M|), so lam * M has the
+    verdict of M for every lam > 0.
     """
     eps = resolve_tolerance(tol)
     Mf = np.array([[float(x) for x in row] for row in M], dtype=float)
@@ -393,7 +503,7 @@ def symmetrize_M(M, tol: float | None = None) -> dict:
         raise ValueError("expected a 3x3 matrix")
     S = 0.5 * (Mf.T @ Mf)
     lhs, rhs = float(np.trace(S)) ** 2, 2.0 * float(np.trace(S @ S))
-    if not close(lhs, rhs, eps):
+    if not close(lhs, rhs, eps, lhs + rhs):
         raise DegenerateError(
             f"no orthogonal P makes MP symmetric trace-free: tr^2(S)={lhs} vs 2tr(S^2)={rhs}")
     Omega, U, sv, tie = _polar(Mf, tol)
@@ -407,7 +517,7 @@ def symmetrize_M(M, tol: float | None = None) -> dict:
             u = Mf[:, j] / norms[j]
         P = P @ (np.eye(3) - 2.0 * np.outer(u, u))
     A = Mf @ P
-    scale = 1.0 + float(np.max(np.abs(Mf)))
+    scale = float(np.max(np.abs(Mf)))
     if not (np.max(np.abs(P @ P.T - np.eye(3)))
             < _P_ORTHOGONALITY * (1.0 + float(np.max(np.abs(P))))):
         raise DegenerateError("symmetrization produced a non-orthogonal P")

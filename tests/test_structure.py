@@ -2,7 +2,6 @@
 the three cases by derived dimension, self-dual Gram matrices, M-matrices and
 the orthogonal symmetrization."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -234,12 +233,10 @@ def test_exact_and_float_criteria_agree():
 
 
 def _floated(D):
-    """D in float mode with the same (converted) plane basis, so S± match entry by entry."""
-    def fl(vectors):
-        return [tuple(float(x) for x in v) for v in vectors]
-    return dataclasses.replace(D, g=D.g.to_float(), mode=Mode.FLOAT,
-                               complement=fl(D.complement), abelian=fl(D.abelian),
-                               rtilde=fl(D.rtilde))
+    """D for the float copy of its metric: both modes orthogonalize the same
+    adapted basis, so the plane bases agree up to rounding and S± match entry
+    by entry."""
+    return decompose(D.L, D.g.to_float())
 
 
 def _sheared(diag, rng):
@@ -515,6 +512,24 @@ def test_symmetrize_is_continuous_on_a_rank_two_tie():
 
 def test_symmetrize_zero_matrix_is_the_identity():
     assert symmetrize_M([[0.0] * 3 for _ in range(3)])["P"] == np.eye(3).tolist()
+
+
+def test_symmetrize_rejects_small_infeasible_matrices():
+    # lam e1 e2^T has singular values (lam, 0, 0), so a != b + c at every scale
+    for lam in (1e-8, 1e-3):
+        M = [[0.0, lam, 0.0], [0.0] * 3, [0.0] * 3]
+        with pytest.raises(DegenerateError, match="no orthogonal P"):
+            symmetrize_M(M)
+
+
+def test_symmetrize_verdict_is_scale_free():
+    rng = random.Random(SEED + 10)
+    for _ in range(20):
+        M = rand_sym_trace_free(rng) @ rand_orthogonal(rng).T
+        for lam in (1e-8, 1.0, 1e8):
+            A = np.array(symmetrize_M((lam * M).tolist())["A"])
+            assert np.max(np.abs(A - A.T)) < 1e-9 * lam * np.max(np.abs(M))
+            assert abs(np.trace(A)) < 1e-9 * lam * np.max(np.abs(M))
 
 
 def test_coclosed_report_shape():
