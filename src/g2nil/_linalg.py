@@ -12,6 +12,12 @@ minors of one matrix, each a Laplace expansion over smaller cached minors;
 complementary minors behind `hodge` from one. `mat_inv` pivots on the
 largest |entry|.
 
+The exact criteria run on integers throughout and divide once at the end:
+`gram_schmidt_sq` takes its projection step as an argument, and
+`exterior.Mode.project_out` (integer Gram-Schmidt) and `Mode.inverse` (the
+integer adjugate, from a `MinorTable`) are the integer steps; the classical
+`project_out` and `mat_inv` are the float ones.
+
 `dot` and `mat_vec` skip zero factors: the vectors and matrices met here
 (basis vectors, diagonal metrics, structure constants) are mostly zeros, and
 a product with a zero Fraction costs as much as any other.

@@ -10,6 +10,17 @@ canonical 4-plane is its first four vectors. The basis orients the plane, so
 the "+"/"-" label is the same in both modes and is kept by automorphisms that
 preserve the orientations of R^7/n' and center/n'.
 
+Exact mode decides on integers throughout. The metric is cleared once to
+G = den * g (`Metric.cleared`) and the structure constants to numerators over
+one denominator s (`LieAlgebra._structure`); Gram-Schmidt runs on integer
+vectors (`Mode.project_out`), which are positive multiples of the rational
+ones, and the criteria below are integer sums (`Mode.quotient_sum`,
+`Mode.inverse`). Both identities are homogeneous, so den, s and the vectors'
+scales leave each verdict alone and come out as one factor: lhs and rhs divide
+once, into the same Fractions the rational bases give. Float mode runs the
+same code with den = s = 1 and its own float steps, bit for bit the plain
+float formulas.
+
 Criteria, by dim n':
 
 * 1 — coclosed always; purely coclosed iff tr^2(A^2) = 4 tr(A^4) for
@@ -23,15 +34,17 @@ Criteria, by dim n':
 
 The self-dual identity is evaluated entry by entry in both modes: with
 T = 1/Q, each x = K ± W*sqrt(T) gives tr S = sum x_ii / (2 p_i) and
-tr S^2 = sum x_ij x_ji / (4 p_i p_j), where sqrt(T) is a Fraction or a float.
+tr S^2 = sum x_ij x_ji / (4 p_i p_j), where sqrt(T) is rational or a float.
 Entry by entry matters in float mode: when S± ≈ 0 the cancellation happens
 in each x_ij, so tr^2 S and 2 tr S^2 come out near 1e-32, while summing them
 first into x + y*sqrt(T) leaves rounding noise near 1e-15 from the separate
-parts. Only an exact metric with irrational sqrt(T) is decided on components:
-tr S = A ± B sqrt(T) and tr S^2 = C ± E sqrt(T) with A, B, C, E rational, and
-the identity holds iff A^2 + B^2 T = 2C and AB = E (so the verdict does not
-depend on the orientation). Every comparison goes through `Mode.equal`: zero
-tolerance in exact mode.
+parts. sqrt(T) is rational iff the product Q of the plane's four integer
+squared norms is a perfect square (`math.isqrt`). Only an exact metric with
+irrational sqrt(T) is decided on components: tr S = A ± B sqrt(T) and
+tr S^2 = C ± E sqrt(T) with A, B, C, E rational, and the identity holds iff
+A^2 + B^2 T = 2C and AB = E (so the verdict does not depend on the
+orientation). Every comparison goes through `Mode.equal`: zero tolerance in
+exact mode.
 """
 from __future__ import annotations
 
@@ -283,27 +296,16 @@ def _trace_pair(p, x, y, mode: Mode):
                              for i in range(k) for j in range(k))
 
 
-def _surd_float(a, b, t) -> float:
-    """a + b sqrt(t) as a float, for rationals a, b and t >= 0; b itself may lie
-    outside the float range."""
-    r = math.sqrt(b * b * t)
-    return float(a) + (r if b >= 0 else -r)
-
-
-def _trace_identity(p, K, W, Q, unit, mode: Mode, tol):
+def _trace_identity(p, K, W, root, unit, mode: Mode, tol):
     """Evaluate tr^2(S) ?= 2 tr(S^2) for both orientations.
 
-    p, K, W, Q come from `_beta_coords`, and S_or = (den / s^2) (K + or W sqrt(T))
-    / (2 sqrt(p_i p_j)) with T = 1/Q, unit = (den, s^2): entry by entry,
-    x = K + or W sqrt(T) is kept as (numerator, denominator), the traces are
-    `quotient_sum`s and lhs and rhs divide once. Returns (exists, orientation,
-    pairs) with pairs mapping "+"/"-" to a (lhs, rhs) tuple: Fractions when
-    sqrt(T) is rational, floats otherwise.
+    p, K, W come from `_beta_coords` and root = sqrt(1/Q) is rational (or a
+    float); S_or = (den / s^2) (K + or W root) / (2 sqrt(p_i p_j)) with
+    unit = (den, s^2). Entry by entry, x = K + or W root is kept as
+    (numerator, denominator), the traces are `quotient_sum`s and lhs and rhs
+    divide once. Returns (exists, orientation, pairs) with pairs mapping
+    "+"/"-" to a (lhs, rhs) tuple.
     """
-    T = mode.div(1, Q)
-    root = mode.root(T, 2)
-    if root is None:
-        return _irrational_identity(p, K, W, T, unit, mode, tol)
     (rn,), rd = mode.cleared([root])
     un, ud = unit
     pairs, verdicts = {}, {}
@@ -319,25 +321,43 @@ def _trace_identity(p, K, W, Q, unit, mode: Mode, tol):
     return orient is not None, orient, pairs
 
 
-def _irrational_identity(p, K, W, T, unit, mode: Mode, tol):
-    """`_trace_identity` for an exact metric with irrational sqrt(T).
+def _irrational_identity(D: MetricDecomposition, p, K, W, Q, tol):
+    """`_trace_identity` for an exact metric with irrational sqrt(T), T = 1/Q.
 
     tr S = u (A + s B sqrt(T)) and tr S^2 = u^2 (C + s E sqrt(T)) with A, B,
     C, E rational and u = den / s^2: the identity holds iff A^2 + B^2 T = 2C
     and AB = E, the rational and radical parts separately, so the verdict does
     not depend on the orientation (conjugation swaps S_+ and S_-). The lhs and
-    rhs come out as floats.
+    rhs are floats: the float path of `_trace_identity`, entry by entry, with
+    a float sqrt(T) and the public bases' p, K, W, Q, whose sizes floats hold.
     """
+    mode = D.mode
+    T = mode.div(1, Q)
     Wx = [[(w, 1) for w in row] for row in W]
     A, B = (mode.div(*_trace(p, x, mode)) for x in (K, Wx))
     C = mode.div(*_trace_pair(p, K, K, mode)) + T * mode.div(*_trace_pair(p, Wx, Wx, mode))
     E = 2 * mode.div(*_trace_pair(p, K, Wx, mode))
     exists = mode.equal(A * A + B * B * T, 2 * C, tol) and mode.equal(A * B, E, tol)
-    u = mode.div(*unit)
-    pairs = {orient: (_surd_float(u * A, s * u * B, T) ** 2,
-                      2 * _surd_float(u * u * C, s * u * u * E, T))
-             for orient, s in (("+", 1), ("-", -1))}
+    p, K, W, Q = _public_scale(D, K, W)
+    _, _, pairs = _trace_identity(p, [[(k, 1) for k in row] for row in K], W,
+                                  math.sqrt(1 / Q), (1, 1), Mode.FLOAT, tol)
     return exists, "+" if exists else None, pairs
+
+
+def _public_scale(D: MetricDecomposition, K, W):
+    """p, K, W, Q of `_beta_coords` for the public bases `zs` and `rtilde`:
+    K and W with den, s and the own scales divided out, one division per
+    entry."""
+    mode = D.mode
+    s2 = D.L._structure(mode)[2] ** 2
+    mu = D.own[:D.derived_dim]
+    a, b, c, d = (D.own[i] for i in D.plane_order)
+    K = [[mode.div(kn, kd * s2 * mi * mj) for (kn, kd), mj in zip(row, mu)]
+         for row, mi in zip(K, mu)]
+    W = [[mode.div(w, D.den * D.den * s2 * mi * mj * a * b * c * d) for w, mj in zip(row, mu)]
+         for row, mi in zip(W, mu)]
+    q = D.complement_sq[:4]
+    return D.p, K, W, q[0] * q[1] * q[2] * q[3]
 
 
 def _identity_diagnostics(orient, pairs) -> dict:
@@ -359,17 +379,7 @@ def sd_gram(D: MetricDecomposition, orientation: int = 1):
         raise DegenerateError("no canonical 4-plane (abelian part is trivial)")
     mode = D.mode
     _p, K, W, _Q = _beta_coords(D)
-    # K and W of `_beta_coords` for the public bases: divide out den, s and own
-    s2 = D.L._structure(mode)[2] ** 2
-    mu = D.own[:D.derived_dim]
-    nu = D.own[D.plane_order[0]] * D.own[D.plane_order[1]] \
-        * D.own[D.plane_order[2]] * D.own[D.plane_order[3]]
-    K = [[mode.div(kn, kd * s2 * mi * mj) for (kn, kd), mj in zip(row, mu)]
-         for row, mi in zip(K, mu)]
-    W = [[mode.div(w, D.den * D.den * s2 * mi * mj * nu) for w, mj in zip(row, mu)]
-         for row, mi in zip(W, mu)]
-    p, q = D.p, D.complement_sq[:4]
-    Q = q[0] * q[1] * q[2] * q[3]
+    p, K, W, Q = _public_scale(D, K, W)
     sqrt = _SQRT[mode]
     try:
         x = _x_matrix(K, W, sqrt(1 / Q), orientation)
@@ -396,8 +406,14 @@ def selfdual_exists(D: MetricDecomposition, tol: float | None = None) -> Criteri
                                {"lhs": None, "rhs": None, "abelian_dim": 0,
                                 "reason": "no coclosed structures: center equals "
                                           "the derived algebra"}, D.mode)
-    unit = (D.den, D.L._structure(D.mode)[2] ** 2)
-    exists, orient, pairs = _trace_identity(*_beta_coords(D), unit, D.mode, tol)
+    mode = D.mode
+    p, K, W, Q = _beta_coords(D)
+    root = mode.root(mode.div(1, Q), 2)
+    if root is None:
+        exists, orient, pairs = _irrational_identity(D, p, K, W, Q, tol)
+    else:
+        unit = (D.den, D.L._structure(mode)[2] ** 2)
+        exists, orient, pairs = _trace_identity(p, K, W, root, unit, mode, tol)
     witness = {"rtilde": [[D.mode.encode(x) for x in v] for v in D.rtilde],
                "orientation": orient} if exists else None
     return CriterionReport(case, "purely", exists, orient, witness,

@@ -8,9 +8,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2nil import catalog
-from g2nil._linalg import gram_schmidt_sq
+from g2nil._linalg import gram_schmidt_sq, mat_inv, mat_mul, rref, transpose
 from g2nil._radicals import Surd
 from g2nil.exterior import (DegenerateError, ExactnessError, KForm, Mode, ToleranceError,
                             form_inner)
@@ -349,6 +351,142 @@ def test_exact_identity_with_irrational_root_is_pinned():
         for got, want in zip(rep.diagnostics["plus"] + rep.diagnostics["minus"], plus + minus):
             assert isinstance(got, float)
             assert abs(got - want) <= 1e-12 * want
+
+
+# -- the cleared-integer criteria against the Fraction formulas ------------------
+
+
+def _reference_criterion(L, g):
+    """The criterion in plain Fraction arithmetic, as `structure` computed it
+    before it cleared denominators: Gram-Schmidt over `Metric.inner`, j(z) as
+    mat_inv(gram) times the bracket matrix, and B, K, W, Q with the traces of
+    x = K ± W sqrt(T). Returns (decomposition data, report data)."""
+    derived, center = L.derived_basis(), L.center_basis()
+    k, c = len(derived), len(center)
+    units = [tuple(Fraction(int(i == j)) for i in range(7)) for j in range(7)]
+    candidates = (*derived, *center, *units)
+    adapted = [candidates[j] for j in rref(transpose(candidates))[1]]
+    ws, q = gram_schmidt_sq(adapted, g.inner)
+    complement, complement_sq = ws[c:] + ws[k:c], q[c:] + q[k:c]
+    decomposition = (ws[:k], q[:k], complement, complement_sq)
+    if k == 1:
+        z, basis = ws[0], complement
+        gram = tuple(tuple(g.inner(u, w) for w in basis) for u in basis)
+        cm = tuple(tuple(g.inner(z, L.bracket(basis[j], basis[i])) for j in range(6))
+                   for i in range(6))
+        J = mat_mul(mat_inv(gram), cm)
+        J2 = mat_mul(J, J)
+        tr2 = sum(J2[i][i] for i in range(6))
+        lhs, rhs = tr2 * tr2, 4 * sum(J2[i][j] * J2[j][i] for i in range(6) for j in range(6))
+        return decomposition, (1, lhs == rhs, None, lhs, rhs, None)
+    if k == 2 and c == k:
+        return decomposition, (2, False, None, None, None, None)
+    zs, p, plane, qp = ws[:k], q[:k], complement[:4], complement_sq[:4]
+    pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    B = [{(a, b): -g.inner(z, L.bracket(plane[a], plane[b])) for a, b in pairs} for z in zs]
+    K = [[sum(B[i][ab] * B[j][ab] / (qp[ab[0]] * qp[ab[1]]) for ab in pairs)
+          for j in range(k)] for i in range(k)]
+    W = [[B[i][(0, 1)] * B[j][(2, 3)] - B[i][(0, 2)] * B[j][(1, 3)]
+          + B[i][(0, 3)] * B[j][(1, 2)] + B[j][(0, 1)] * B[i][(2, 3)]
+          - B[j][(0, 2)] * B[i][(1, 3)] + B[j][(0, 3)] * B[i][(1, 2)]
+          for j in range(k)] for i in range(k)]
+    T = 1 / (qp[0] * qp[1] * qp[2] * qp[3])
+
+    def trace(x):
+        return sum(x[i][i] / (2 * p[i]) for i in range(k))
+
+    def trace_pair(x, y):
+        return sum(x[i][j] * y[j][i] / (4 * p[i] * p[j]) for i in range(k) for j in range(k))
+
+    root = Fraction(math.isqrt(T.numerator), math.isqrt(T.denominator))
+    rational = root * root == T
+    if not rational:
+        root = math.sqrt(T)
+    found = {}
+    for orient, s in (("+", 1), ("-", -1)):
+        x = [[a + s * b * root for a, b in zip(ka, wa)] for ka, wa in zip(K, W)]
+        found[orient] = (trace(x) ** 2, 2 * trace_pair(x, x))
+    if rational:
+        orient = next((o for o in "+-" if found[o][0] == found[o][1]), None)
+    else:
+        A, Bt = trace(K), trace(W)
+        C, E = trace_pair(K, K) + T * trace_pair(W, W), 2 * trace_pair(K, W)
+        orient = "+" if A * A + Bt * Bt * T == 2 * C and A * Bt == E else None
+    lead = found[orient or "+"]
+    return decomposition, (k, orient is not None, orient, lead[0], lead[1], found)
+
+
+_DENOMINATORS = st.integers(1, 10**6)
+
+
+@st.composite
+def _oracle_inputs(draw):
+    """A catalog algebra and a rational metric lam P^T diag P: diagonal entries
+    with denominators up to 1e6 (squares or not), P the identity or a
+    unipotent rational shear, lam a homothety up to 1e8 either way."""
+    name = draw(st.sampled_from(catalog.names()))
+    diag = [Fraction(draw(st.integers(1, 10**6)), draw(_DENOMINATORS)) for _ in range(7)]
+    if draw(st.booleans()):
+        diag = [d * d for d in diag]
+    P = [[Fraction(int(i == j)) for j in range(7)] for i in range(7)]
+    if draw(st.booleans()):
+        for i, j in draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6))
+                                  .filter(lambda ij: ij[0] < ij[1]), min_size=1, max_size=4)):
+            P[i][j] = Fraction(draw(st.integers(-10**3, 10**3)), draw(_DENOMINATORS))
+    lam = draw(st.sampled_from((1, 10**8, Fraction(1, 10**8))))
+    rows = [[lam * sum(P[m][i] * diag[m] * P[m][j] for m in range(7)) for j in range(7)]
+            for i in range(7)]
+    return name, Metric(rows)
+
+
+def _check_against_reference(name, g):
+    """Returns True when sqrt(T) was irrational."""
+    L = catalog.get(name).algebra
+    (zs, p, complement, complement_sq), (case, exists, orient, lhs, rhs, found) = \
+        _reference_criterion(L, g)
+    D = decompose(L, g)
+    assert (D.zs, D.p, D.complement, D.complement_sq) == (zs, p, complement, complement_sq)
+    rep = purely_coclosed_exists(L, g)
+    assert (rep.case, rep.exists, rep.orientation) == (case, exists, orient)
+    if not exists:
+        assert rep.witness is None
+    elif case == 1:
+        assert rep.witness == {"z": [str(x) for x in L.derived_basis()[0]]}
+    else:
+        assert rep.witness == {"rtilde": [[str(x) for x in v] for v in complement[:4]],
+                               "orientation": orient}
+    irrational = found is not None and isinstance(found["+"][0], float)
+    if irrational:
+        for side, o in (("plus", "+"), ("minus", "-")):
+            for got, want in zip(rep.diagnostics[side], found[o]):
+                assert isinstance(got, float)
+                assert abs(got - want) <= 1e-12 * abs(want)
+    else:
+        assert (rep.diagnostics["lhs"], rep.diagnostics["rhs"]) == (lhs, rhs)
+        assert all(type(x) is Fraction for x in (lhs, rhs) if x is not None)
+        if found is not None:
+            assert rep.diagnostics["plus"] == list(found["+"])
+            assert rep.diagnostics["minus"] == list(found["-"])
+    return irrational
+
+
+@settings(max_examples=60, deadline=None)
+@given(_oracle_inputs())
+def test_cleared_criteria_match_the_fraction_formulas(case):
+    _check_against_reference(*case)
+
+
+def test_cleared_criteria_cover_both_roots_on_every_algebra():
+    # every catalog algebra on diag(1, ..., 7) (Q = 24 on n7_3_B: irrational
+    # sqrt(T)) and on a diagonal of squares (rational sqrt(T)), each sheared too
+    rng = random.Random(SEED + 11)
+    irrational = 0
+    for name in catalog.names():
+        for diag in ([Fraction(i) for i in range(1, 8)],
+                     [Fraction(rng.randint(1, 9), rng.randint(1, 9)) ** 2 for _ in range(7)]):
+            for g in (Metric.diagonal(diag), _sheared(diag, rng)):
+                irrational += _check_against_reference(name, g)
+    assert irrational >= 10
 
 
 _HOMOTHETIES = (1, 10**4, 10**8, Fraction(1, 10**8))
