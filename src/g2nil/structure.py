@@ -106,17 +106,17 @@ class MetricDecomposition:
         return len(self.center) - len(self.nprime)
 
     @property
-    def complement_order(self) -> list[int]:
+    def _r_index(self) -> list[int]:
         """Indices into `basis` of r = n'-perp: center-perp, then a."""
         k, c = len(self.nprime), len(self.center)
         return [*range(c, len(self.basis)), *range(k, c)]
 
     @property
-    def plane_order(self) -> list[int]:
+    def _plane_index(self) -> list[int]:
         """Indices of the canonical oriented 4-plane: the first four of r
         (dim n' in {2, 3}, and a != 0 when dim n' = 2), else none."""
         k = self.derived_dim
-        return self.complement_order[:4] if k == 3 or (k == 2 and self.abelian_dim) else []
+        return self._r_index[:4] if k == 3 or (k == 2 and self.abelian_dim) else []
 
     def _vectors(self, indices) -> list:
         return [tuple(self.mode.div(x, self.own[i]) for x in self.basis[i]) for i in indices]
@@ -138,12 +138,12 @@ class MetricDecomposition:
     @property
     def complement(self) -> list:
         """Orthogonal basis of r = n'-perp: center-perp, then a."""
-        return self._vectors(self.complement_order)
+        return self._vectors(self._r_index)
 
     @property
     def complement_sq(self) -> list:
         """Squared norms of complement."""
-        return self._norms_sq(self.complement_order)
+        return self._norms_sq(self._r_index)
 
     @property
     def abelian(self) -> list:
@@ -153,7 +153,7 @@ class MetricDecomposition:
     @property
     def rtilde(self) -> list:
         """The canonical oriented 4-plane: complement[:4] (dim n' in {2, 3})."""
-        return self._vectors(self.plane_order)
+        return self._vectors(self._plane_index)
 
 
 def decompose(L: LieAlgebra, g: Metric) -> MetricDecomposition:
@@ -220,7 +220,7 @@ def case1_exists(D: MetricDecomposition, tol: float | None = None) -> CriterionR
     if D.derived_dim != 1:
         raise UnsupportedAlgebraError("case 1 requires a 1-dimensional derived algebra")
     mode = D.mode
-    E, d = _jmap(D.L, D.g.cleared()[0], D.basis[0], [D.basis[i] for i in D.complement_order],
+    E, d = _jmap(D.L, D.g.cleared()[0], D.basis[0], [D.basis[i] for i in D._r_index],
                  mode)
     m = len(E)
     # A = -j(z) for z = nprime[0] is similar to -E / (d s own_0), so tr A^2 and
@@ -257,8 +257,8 @@ def _beta_coords(D: MetricDecomposition):
     ip = D.g.cleared()[0]
     k = D.derived_dim
     zs, p = D.basis[:k], D.norms[:k]
-    ws = [D.basis[i] for i in D.plane_order]
-    q = [D.norms[i] for i in D.plane_order]
+    ws = [D.basis[i] for i in D._plane_index]
+    q = [D.norms[i] for i in D._plane_index]
     pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
     brackets = [L._bracket_num(ws[a], ws[b], mode) for a, b in pairs]
     B = [{ab: -ip(z, w) for ab, w in zip(pairs, brackets)} for z in zs]
@@ -277,11 +277,6 @@ def _beta_coords(D: MetricDecomposition):
 # `Mode.root`, which finds an irrational exact root without factoring
 # (`Surd.sqrt` factors the radicand by trial division)
 _SQRT = {Mode.EXACT: Surd.sqrt, Mode.FLOAT: math.sqrt}
-
-
-def _x_matrix(K, W, root, s: int):
-    """x = K + s * W * sqrt(T), entry by entry: x_ij = 2 sqrt(p_i p_j) S_ij."""
-    return [[a + s * b * root for a, b in zip(ka, wa)] for ka, wa in zip(K, W)]
 
 
 def _trace(p, x, mode: Mode):
@@ -351,7 +346,7 @@ def _public_scale(D: MetricDecomposition, K, W):
     mode = D.mode
     s2 = D.L._structure(mode)[2] ** 2
     mu = D.own[:D.derived_dim]
-    a, b, c, d = (D.own[i] for i in D.plane_order)
+    a, b, c, d = (D.own[i] for i in D._plane_index)
     K = [[mode.div(kn, kd * s2 * mi * mj) for (kn, kd), mj in zip(row, mu)]
          for row, mi in zip(K, mu)]
     W = [[mode.div(w, D.den * D.den * s2 * mi * mj * a * b * c * d) for w, mj in zip(row, mu)]
@@ -375,14 +370,16 @@ def sd_gram(D: MetricDecomposition, orientation: int = 1):
     float mode: plain floats. The roots are taken of p and Q for the public
     bases (`zs`, `rtilde`), whose radicands are the smallest at hand.
     """
-    if not D.plane_order:
+    if not D._plane_index:
         raise DegenerateError("no canonical 4-plane (abelian part is trivial)")
     mode = D.mode
     _p, K, W, _Q = _beta_coords(D)
     p, K, W, Q = _public_scale(D, K, W)
     sqrt = _SQRT[mode]
     try:
-        x = _x_matrix(K, W, sqrt(1 / Q), orientation)
+        root = sqrt(1 / Q)
+        # x = K + or * W * sqrt(T), entry by entry: x_ij = 2 sqrt(p_i p_j) S_ij
+        x = [[a + orientation * b * root for a, b in zip(ka, wa)] for ka, wa in zip(K, W)]
     except ValueError as exc:
         raise ExactnessError("S mixes incompatible radicals; "
                              "use a float metric for this Gram matrix") from exc
