@@ -221,11 +221,11 @@ def _m_matrix(L: LieAlgebra, gm: np.ndarray, zs, frame4) -> np.ndarray:
     so that M = 0 (no self-dual part) stays 0, and P = I, under last-bit
     changes of g.
     """
-    Bs = [_beta_matrix(L, gm, z, frame4) for z in zs]
+    Bs = np.array([_beta_matrix(L, gm, z, frame4) for z in zs])
     M = np.array([[sum(c * B[a, b] for (a, b), c in sig.items()) for B in Bs]
                   for sig in _SIGMA])
-    noise = _ROUNDING_NOISE * np.array([np.max(np.abs(B)) for B in Bs])
-    return np.zeros_like(M) if np.all(np.abs(M) <= noise) else M
+    noise = _ROUNDING_NOISE * np.abs(Bs).max(axis=(1, 2))
+    return M if (np.abs(M) > noise).any() else np.zeros_like(M)
 
 
 def construct_selfdual(D: MetricDecomposition, report: CriterionReport | None = None,

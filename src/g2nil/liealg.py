@@ -156,19 +156,18 @@ class LieAlgebra:
         return KForm(self.dim, min(form.degree + 1, self.dim),
                      {key: mode.div(v, den) for key, v in acc.items() if v}, mode)
 
-    def _bracket_num(self, x: Sequence, y: Sequence, mode: Mode) -> list:
-        """s [x, y] for vectors of the mode's cleared scalars (integers in exact
-        mode give integers), with s the denominator of `_structure`; the terms
-        are summed in the order (index of x, index of y, output index)."""
+    def _bracket_num(self, xs: Sequence, ys: Sequence, mode: Mode) -> list:
+        """s [x, y] for x and y given by their nonzero (1-based index, scalar)
+        pairs (`_nonzero`), with s the denominator of `_structure`: cleared
+        integer vectors give integers. The terms are summed in the order
+        (index of x, index of y, output index)."""
         brackets = self._structure(mode)[1]
         out = [mode.zero] * self.dim
-        for i, ci in enumerate(x, 1):
-            if ci:
-                for j, cj in enumerate(y, 1):
-                    if cj:
-                        scale = ci * cj
-                        for k, wk in brackets[(i, j)]:
-                            out[k] += scale * wk
+        for i, ci in xs:
+            for j, cj in ys:
+                scale = ci * cj
+                for k, wk in brackets[(i, j)]:
+                    out[k] += scale * wk
         return out
 
     def bracket_basis(self, a: int, b: int) -> Vec:
@@ -185,15 +184,17 @@ class LieAlgebra:
         The first nonzero coefficient (of x, else of y, else x[0]) sets the
         mode. If it is a float (numpy's float64 included), the result is a
         vector of Python floats; otherwise the result is exact, and
-        `Mode.convert` rejects any later float. Both vectors are cleared to
-        numerators and the sum `_bracket_num` is divided once per entry.
+        `Mode.convert` rejects any later float. The sum `_bracket_num` runs on
+        the nonzero coefficients and is divided by s once per entry when
+        s is not 1.
         """
-        first = next((c for c in (*x, *y) if c), x[0])
+        xs, ys = _nonzero(x), _nonzero(y)
+        first = xs[0][1] if xs else ys[0][1] if ys else x[0]
         mode = Mode.FLOAT if isinstance(first, float) else Mode.EXACT
-        xs, dx = mode.cleared([mode.convert(c) for c in x])
-        ys, dy = mode.cleared([mode.convert(c) for c in y])
-        den = dx * dy * self._structure(mode)[2]
-        return tuple(mode.div(v, den) for v in self._bracket_num(xs, ys, mode))
+        out = self._bracket_num([(i, mode.convert(c)) for i, c in xs],
+                                [(j, mode.convert(c)) for j, c in ys], mode)
+        s = self._structure(mode)[2]
+        return tuple(out if s == 1 else (mode.div(v, s) for v in out))
 
     # -- distinguished subspaces ---------------------------------------------
 
@@ -358,6 +359,11 @@ def _has_float(data) -> bool:
     return any(isinstance(x, float) for row in data for x in row)
 
 
+def _nonzero(v: Sequence) -> list:
+    """The (1-based index, entry) pairs of v's nonzero entries."""
+    return [(i, c) for i, c in enumerate(v, 1) if c]
+
+
 def _bilinear(rows, zero, x: Sequence, y: Sequence):
     """sum_i (sum_j a_ij x_j) y_i for a matrix given as (j, a_ij) over the
     nonzero entries of each row, skipping zero y_i and x_j; starts at zero."""
@@ -383,7 +389,8 @@ def _jmap(L: LieAlgebra, ip: Callable, z: Sequence, basis: Sequence[Sequence],
     mat_inv(gram) times the bracket matrix."""
     m = len(basis)
     gram = tuple(tuple(ip(u, w) for w in basis) for u in basis)
-    c = tuple(tuple(ip(z, L._bracket_num(basis[j], basis[i], mode)) for j in range(m))
+    sparse = [_nonzero(w) for w in basis]
+    c = tuple(tuple(ip(z, L._bracket_num(sparse[j], sparse[i], mode)) for j in range(m))
               for i in range(m))
     adj, d = mode.inverse(gram)
     return mat_mul(adj, c), d

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -59,7 +60,7 @@ from ._linalg import gram_schmidt_sq
 from ._radicals import Surd
 from .exterior import (DegenerateError, ExactnessError, KForm, Mode,
                        close, form_inner, resolve_tolerance)
-from .liealg import LieAlgebra, Metric, UnsupportedAlgebraError, _jmap
+from .liealg import LieAlgebra, Metric, UnsupportedAlgebraError, _jmap, _nonzero
 
 __all__ = [
     "UnsupportedAlgebraError", "MetricDecomposition", "decompose",
@@ -84,7 +85,9 @@ class MetricDecomposition:
     adapted vector minus its projections), and `norms` are their G-squared
     norms. The public bases divide once: `zs`, `complement`, `abelian` and
     `rtilde` hold the w_i, `p` and `complement_sq` their g-squared norms
-    norms[i] / (den own[i]^2). Float mode has den = 1 and own = 1.
+    norms[i] / (den own[i]^2), each computed on first use; a vector with
+    own[i] = 1 is w_i as it stands (in exact mode its entries stay ints).
+    Float mode has den = 1 and own = 1.
     """
 
     L: LieAlgebra
@@ -119,33 +122,35 @@ class MetricDecomposition:
         return self._r_index[:4] if k == 3 or (k == 2 and self.abelian_dim) else []
 
     def _vectors(self, indices) -> list:
-        return [tuple(self.mode.div(x, self.own[i]) for x in self.basis[i]) for i in indices]
+        div = self.mode.div
+        return [w if c == 1 else tuple(div(x, c) for x in w)
+                for w, c in ((self.basis[i], self.own[i]) for i in indices)]
 
     def _norms_sq(self, indices) -> list:
         return [self.mode.div(self.norms[i], self.den * self.own[i] * self.own[i])
                 for i in indices]
 
-    @property
+    @cached_property
     def zs(self) -> list:
         """Orthogonal basis of n': Gram-Schmidt of nprime."""
         return self._vectors(range(self.derived_dim))
 
-    @property
+    @cached_property
     def p(self) -> list:
         """Squared norms of zs."""
         return self._norms_sq(range(self.derived_dim))
 
-    @property
+    @cached_property
     def complement(self) -> list:
         """Orthogonal basis of r = n'-perp: center-perp, then a."""
         return self._vectors(self._r_index)
 
-    @property
+    @cached_property
     def complement_sq(self) -> list:
         """Squared norms of complement."""
         return self._norms_sq(self._r_index)
 
-    @property
+    @cached_property
     def abelian(self) -> list:
         """Orthogonal basis of a = center ∩ n'-perp."""
         return self._vectors(range(self.derived_dim, len(self.center)))
@@ -153,7 +158,7 @@ class MetricDecomposition:
     @property
     def rtilde(self) -> list:
         """The canonical oriented 4-plane: complement[:4] (dim n' in {2, 3})."""
-        return self._vectors(self._plane_index)
+        return self.complement[:4] if self._plane_index else []
 
 
 def decompose(L: LieAlgebra, g: Metric) -> MetricDecomposition:
@@ -257,7 +262,7 @@ def _beta_coords(D: MetricDecomposition):
     ip = D.g.cleared()[0]
     k = D.derived_dim
     zs, p = D.basis[:k], D.norms[:k]
-    ws = [D.basis[i] for i in D._plane_index]
+    ws = [_nonzero(D.basis[i]) for i in D._plane_index]
     q = [D.norms[i] for i in D._plane_index]
     pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
     brackets = [L._bracket_num(ws[a], ws[b], mode) for a, b in pairs]

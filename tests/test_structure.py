@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from g2nil import catalog
 from g2nil._linalg import gram_schmidt_sq, mat_inv, mat_mul, rref, transpose
 from g2nil._radicals import Surd
-from g2nil.exterior import (DegenerateError, ExactnessError, KForm, Mode, ToleranceError,
+from g2nil.exterior import (DegenerateError, ExactnessError, KForm, ToleranceError,
                             form_inner)
 from g2nil.g2su3 import G2Structure, torsion_class
 from g2nil.liealg import LieAlgebra, Metric
