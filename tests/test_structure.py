@@ -356,17 +356,33 @@ def test_exact_identity_with_irrational_root_is_pinned():
 # -- the cleared-integer criteria against the Fraction formulas ------------------
 
 
+def _adapted(L):
+    """The basis the decomposition orthogonalizes: n', then the center, then
+    the coordinate vectors that raise the rank."""
+    units = [tuple(Fraction(int(i == j)) for i in range(7)) for j in range(7)]
+    candidates = (*L.derived_basis(), *L.center_basis(), *units)
+    return [candidates[j] for j in rref(transpose(candidates))[1]]
+
+
+def _with_norms(L, diag, rng):
+    """A metric whose Gram-Schmidt of `_adapted(L)` has the squared norms diag:
+    (U V^-1)^T diag (U V^-1) for V the adapted basis and U unipotent upper
+    triangular, so every vector is projected and a diagonal of squares gives a
+    rational sqrt(T)."""
+    U = [[Fraction(int(i == j)) if i >= j else Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+          for j in range(7)] for i in range(7)]
+    A = mat_mul(U, mat_inv(transpose(_adapted(L))))
+    return Metric([[sum(A[m][i] * diag[m] * A[m][j] for m in range(7)) for j in range(7)]
+                   for i in range(7)])
+
+
 def _reference_criterion(L, g):
     """The criterion in plain Fraction arithmetic, as `structure` computed it
     before it cleared denominators: Gram-Schmidt over `Metric.inner`, j(z) as
     mat_inv(gram) times the bracket matrix, and B, K, W, Q with the traces of
     x = K ± W sqrt(T). Returns (decomposition data, report data)."""
-    derived, center = L.derived_basis(), L.center_basis()
-    k, c = len(derived), len(center)
-    units = [tuple(Fraction(int(i == j)) for i in range(7)) for j in range(7)]
-    candidates = (*derived, *center, *units)
-    adapted = [candidates[j] for j in rref(transpose(candidates))[1]]
-    ws, q = gram_schmidt_sq(adapted, g.inner)
+    k, c = len(L.derived_basis()), len(L.center_basis())
+    ws, q = gram_schmidt_sq(_adapted(L), g.inner)
     complement, complement_sq = ws[c:] + ws[k:c], q[c:] + q[k:c]
     decomposition = (ws[:k], q[:k], complement, complement_sq)
     if k == 1:
@@ -439,9 +455,8 @@ def _oracle_inputs(draw):
     return name, Metric(rows)
 
 
-def _check_against_reference(name, g):
+def _check_against_reference(L, g):
     """Returns True when sqrt(T) was irrational."""
-    L = catalog.get(name).algebra
     (zs, p, complement, complement_sq), (case, exists, orient, lhs, rhs, found) = \
         _reference_criterion(L, g)
     D = decompose(L, g)
@@ -473,19 +488,31 @@ def _check_against_reference(name, g):
 @settings(max_examples=60, deadline=None)
 @given(_oracle_inputs())
 def test_cleared_criteria_match_the_fraction_formulas(case):
-    _check_against_reference(*case)
+    name, g = case
+    _check_against_reference(catalog.get(name).algebra, g)
 
 
 def test_cleared_criteria_cover_both_roots_on_every_algebra():
-    # every catalog algebra on diag(1, ..., 7) (Q = 24 on n7_3_B: irrational
-    # sqrt(T)) and on a diagonal of squares (rational sqrt(T)), each sheared too
+    # every catalog algebra, plus two with fractional structure constants
+    # (s = 3 and 6, and a derived vector (0, ..., 0, 1, 2/3)), on diag(1..7)
+    # (Q = 24 on n7_3_B: irrational sqrt(T)), on a diagonal of squares, sheared
+    # too, and on metrics whose Gram-Schmidt projects every vector and still
+    # has square norms (rational sqrt(T), positive multiples that must keep
+    # the orientation)
     rng = random.Random(SEED + 11)
+    third = Fraction(1, 3)
+    extra = [LieAlgebra.from_structure("h5_scaled", [None] * 5 + [
+                 {(1, 2): 1, (3, 4): 1}, {(1, 2): 2 * third, (3, 4): 2 * third}]),
+             LieAlgebra.from_structure("n6_3_scaled", [None] * 4 + [
+                 {(1, 2): 1}, {(1, 3): Fraction(1, 2)}, {(2, 3): 1, (1, 2): third}])]
     irrational = 0
-    for name in catalog.names():
-        for diag in ([Fraction(i) for i in range(1, 8)],
-                     [Fraction(rng.randint(1, 9), rng.randint(1, 9)) ** 2 for _ in range(7)]):
+    for L in [catalog.get(name).algebra for name in catalog.names()] + extra:
+        squares = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) ** 2 for _ in range(7)]
+        for diag in ([Fraction(i) for i in range(1, 8)], squares):
             for g in (Metric.diagonal(diag), _sheared(diag, rng)):
-                irrational += _check_against_reference(name, g)
+                irrational += _check_against_reference(L, g)
+        for _ in range(2):
+            assert not _check_against_reference(L, _with_norms(L, squares, rng))
     assert irrational >= 10
 
 
