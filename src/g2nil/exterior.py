@@ -155,10 +155,8 @@ class Mode(Enum):
         det = minor(full, full)
         if not det:
             raise ZeroDivisionError("singular matrix")
-        cofactor = [[minor(full ^ (1 << j), full ^ (1 << i)) for j in range(n)]
-                    for i in range(n)]
-        return tuple(tuple(-c if (i + j) & 1 else c for j, c in enumerate(row))
-                     for i, row in enumerate(cofactor)), det
+        return tuple(tuple((-1) ** (i + j) * minor(full ^ (1 << j), full ^ (1 << i))
+                           for j in range(n)) for i in range(n)), det
 
     def encode(self, x):
         """A scalar for JSON: the exact value as a string, or a float."""
