@@ -2,7 +2,8 @@
 
 Everything in this package lives in dimension <= 7, so plain expansion and
 elimination are the right tools. Each routine follows the scalar type of its
-input: Python ints stay in the integers, `fractions.Fraction` entries give
+input: Python ints stay in the integers (`mat_inv`, whose result is not an
+integer matrix, promotes them to Fraction), `fractions.Fraction` entries give
 exact results, `float` entries give float results. Only the exact coercion
 `frac` rejects floats.
 
@@ -15,8 +16,9 @@ largest |entry|.
 The exact criteria run on integers throughout and divide once at the end:
 `gram_schmidt_sq` takes its projection step as an argument, and
 `exterior.Mode.project_out` (integer Gram-Schmidt) and `Mode.inverse` (the
-integer adjugate, from a `MinorTable`) are the integer steps; the classical
-`project_out` and `mat_inv` are the float ones.
+integer adjugate and determinant, by fraction-free Gauss-Jordan elimination)
+are the integer steps; the classical `project_out` and `mat_inv` are the
+float ones.
 
 `dot` and `mat_vec` skip zero factors: the vectors and matrices met here
 (basis vectors, diagonal metrics, structure constants) are mostly zeros, and
@@ -117,8 +119,13 @@ def mat_det(a: Mat):
 
 
 def mat_inv(a: Mat) -> Mat:
+    """a^-1 by Gauss-Jordan elimination on [a | I]. Int entries are promoted to
+    Fraction, so an integer or Fraction matrix gives its exact inverse and a
+    float matrix a float one; raises ZeroDivisionError when a is singular."""
     n = len(a)
     kind = type(a[0][0]) if a else Fraction
+    if kind is int or kind is Fraction:
+        kind, a = Fraction, [[Fraction(x) if type(x) is int else x for x in row] for row in a]
     aug = [list(row) + [kind(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
     for col in range(n):
         # the largest |entry| in column col, from row col on

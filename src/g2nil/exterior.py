@@ -14,9 +14,10 @@ zero, the validation and conversion of scalars, division, real roots,
 clearing denominators, sums of quotients, the Gram-Schmidt step, matrix
 inversion and the JSON encoding of a scalar. Code elsewhere calls these
 members instead of branching on the mode. The exact members that take
-cleared integers (`quotient_sum`, `project_out`, `inverse`) never divide, so
-a computation can run on integers and divide once at the end; their float
-branches are the plain float formulas.
+cleared integers (`quotient_sum`, `project_out`, `inverse`) return integers
+(`inverse` divides only where the quotient is exact), so a computation can
+run on integers and divide once at the end; their float branches are the
+plain float formulas.
 
 Every verdict in the package goes through one of two rules defined here:
 `Mode.equal` for two scalars and `KForm.is_zero` for a form. Exact mode never
@@ -144,19 +145,38 @@ class Mode(Enum):
 
     def inverse(self, a) -> tuple:
         """(b, d) with a^-1 = b / d: in exact mode the adjugate and determinant of
-        an integer matrix (cofactors from one `MinorTable`, no division); in
-        float mode `mat_inv(a)`, pivoting on the largest entry, and d = 1.
-        Raises ZeroDivisionError when a is singular."""
+        an integer matrix; in float mode `mat_inv(a)`, pivoting on the largest
+        entry, and d = 1. Raises ZeroDivisionError when a is singular.
+
+        The exact branch is fraction-free Gauss-Jordan elimination on [a | I]
+        (Bareiss 1968): step k replaces every row i != k by (p_k row_i -
+        a_ik row_k) / p_(k-1), where p_k is the k-th pivot and p_(-1) = 1; each
+        such division is exact. At the end [a | I] has become [p I | p a^-1]
+        with p = ±det a, the sign that of the row swaps taken at zero pivots.
+        """
         if self is Mode.FLOAT:
             return mat_inv(a), 1
         n = len(a)
-        full = (1 << n) - 1
-        minor = MinorTable(a)
-        det = minor(full, full)
-        if not det:
-            raise ZeroDivisionError("singular matrix")
-        return tuple(tuple((-1) ** (i + j) * minor(full ^ (1 << j), full ^ (1 << i))
-                           for j in range(n)) for i in range(n)), det
+        rows = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)]
+        sign, prev = 1, 1
+        for k in range(n):
+            if not rows[k][k]:
+                swap = next((r for r in range(k + 1, n) if rows[r][k]), None)
+                if swap is None:
+                    raise ZeroDivisionError("singular matrix")
+                rows[k], rows[swap] = rows[swap], rows[k]
+                sign = -sign
+            pk, row_k = rows[k][k], rows[k][k + 1:]
+            # columns <= k are never read again (they hold p_k or 0), and a row
+            # with a_ik = 0 is only rescaled by p_k / p_(k-1)
+            for row in rows[:k] + rows[k + 1:]:
+                f = row[k]
+                if f:
+                    row[k + 1:] = [(pk * x - f * y) // prev for x, y in zip(row[k + 1:], row_k)]
+                elif pk != prev:
+                    row[k + 1:] = [pk * x // prev for x in row[k + 1:]]
+            prev = pk
+        return tuple(tuple(sign * x for x in row[n:]) for row in rows), sign * prev
 
     def encode(self, x):
         """A scalar for JSON: the exact value as a string, or a float."""

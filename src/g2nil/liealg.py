@@ -125,36 +125,12 @@ class LieAlgebra:
         return cached
 
     def ce_diff(self, form: KForm) -> KForm:
-        """Chevalley-Eilenberg differential, extended as an antiderivation.
-
-        One pass over cleared numerators (integers in exact mode): for the
-        indices i_0 < i_1 < ... of e^m, d(c e^m) = sum_p (-1)^p c d e^(i_p) ^
-        e^(m - i_p), with each d e^i read from `_structure`. The sum is divided
-        by the denominators once, at the end. Input terms are read in sorted
-        mask order, so a float sum always runs in one order.
-        """
+        """Chevalley-Eilenberg differential, extended as an antiderivation:
+        `_differential` over the structure constants of `_structure`."""
         if form.dim != self.dim:
             raise ValueError("form dimension mismatch")
-        mode = form.mode
-        d_terms, _brackets, d_den = self._structure(mode)
-        masks = sorted(form._terms)
-        nums, den = mode.cleared([form._terms[m] for m in masks])
-        acc: dict[int, object] = {}
-        for m, c in zip(masks, nums):
-            bits, pos = m, 0
-            while bits:
-                low = bits & -bits
-                rest = m ^ low
-                signed = -c if pos & 1 else c
-                for dm, dc in d_terms[low.bit_length() - 1]:
-                    if not dm & rest:
-                        key = dm | rest
-                        acc[key] = acc.get(key, 0) + _merge_sign(dm, rest) * signed * dc
-                bits ^= low
-                pos += 1
-        den *= d_den
-        return KForm(self.dim, min(form.degree + 1, self.dim),
-                     {key: mode.div(v, den) for key, v in acc.items() if v}, mode)
+        d_terms, _brackets, d_den = self._structure(form.mode)
+        return _differential(d_terms, d_den, form)
 
     def _bracket_num(self, xs: Sequence, ys: Sequence, mode: Mode) -> list:
         """s [x, y] for x and y given by their nonzero (1-based index, scalar)
@@ -258,6 +234,41 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra({self.name!r}, dim={self.dim})"
+
+
+def _differential(d_terms: Sequence, d_den, form: KForm) -> KForm:
+    """The antiderivation d on a form in a basis e^1..e^n, from the differentials
+    d e^i = sum of numerator * e^mask over d_terms[i - 1], divided by d_den.
+
+    One pass over cleared numerators (integers in exact mode): for the indices
+    i_0 < i_1 < ... of e^m, d(c e^m) = sum_p (-1)^p c d e^(i_p) ^ e^(m - i_p).
+    Each e^ab ^ e^rest (a < b) carries the sign (-1)^(number of indices of rest
+    between a and b). The sum is divided by the denominators once, at the end.
+    Input terms are read in sorted mask order, so a float sum always runs in
+    one order.
+    """
+    mode = form.mode
+    masks = sorted(form._terms)
+    nums, den = mode.cleared([form._terms[m] for m in masks])
+    acc: dict[int, object] = {}
+    for m, c in zip(masks, nums):
+        bits, pos = m, 0
+        while bits:
+            low = bits & -bits
+            rest = m ^ low
+            signed = -c if pos & 1 else c
+            for dm, dc in d_terms[low.bit_length() - 1]:
+                if not dm & rest:
+                    a = dm & -dm
+                    t = signed * dc
+                    if (rest & ((dm ^ a) - 1) & -a).bit_count() & 1:
+                        t = -t
+                    acc[dm | rest] = acc.get(dm | rest, 0) + t
+            bits ^= low
+            pos += 1
+    den *= d_den
+    return KForm(form.dim, min(form.degree + 1, form.dim),
+                 {key: mode.div(v, den) for key, v in acc.items() if v}, mode)
 
 
 class Metric:

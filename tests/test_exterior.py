@@ -25,7 +25,7 @@ from g2nil.exterior import (
     top_wedge_coeff,
     volume_form,
 )
-from g2nil._linalg import rational_root
+from g2nil._linalg import mat_det, rational_root
 from g2nil.liealg import Metric
 
 SEED = 20260818
@@ -323,6 +323,49 @@ def test_scalar_layer(mode):
     assert [mode.div(x, d) for x in nums] == values
     assert (nums, d) == (([3, -4, 30], 6) if exact else (values, 1))
     assert mode.encode(mode.convert(-3) / 2) == ("-3/2" if exact else -1.5)
+
+
+def _cofactor_inverse(a):
+    """(adj a, det a) from the cofactor formula, every minor a Laplace expansion."""
+    n = len(a)
+
+    def minor(i, j):
+        return mat_det(tuple(tuple(x for c, x in enumerate(row) if c != j)
+                             for r, row in enumerate(a) if r != i))
+
+    adj = tuple(tuple((-1) ** (i + j) * minor(j, i) for j in range(n)) for i in range(n))
+    return adj, mat_det(a)
+
+
+def test_exact_inverse_matches_the_cofactor_formula():
+    """Fraction-free Gauss-Jordan (Bareiss) gives the exact adjugate and
+    determinant, through row swaps at zero pivots and for either sign of det."""
+    rng = random.Random(SEED + 31)
+    swaps = negative = singular = 0
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        zeros = rng.choice([0.0, 0.3, 0.6])
+        a = [[0 if rng.random() < zeros else rng.randint(-9, 9) for _ in range(n)]
+             for _ in range(n)]
+        if n > 1 and rng.random() < 0.1:
+            a[-1] = [2 * x for x in a[0]]
+        a = tuple(map(tuple, a))
+        adj, det = _cofactor_inverse(a)
+        if not det:
+            singular += 1
+            with pytest.raises(ZeroDivisionError):
+                Mode.EXACT.inverse(a)
+            continue
+        swaps += a[0][0] == 0
+        negative += det < 0
+        assert Mode.EXACT.inverse(a) == (adj, det)
+    assert swaps and negative and singular
+    # a zero leading pivot and a negative determinant, by hand
+    assert Mode.EXACT.inverse(((0, 1), (1, 0))) == (((0, -1), (-1, 0)), -1)
+    assert Mode.EXACT.inverse(((0, 2, 0), (0, 0, 3), (1, 0, 0))) == (
+        ((0, 0, 6), (3, 0, 0), (0, 2, 0)), 6)
+    with pytest.raises(ZeroDivisionError):
+        Mode.EXACT.inverse(((1, 2), (2, 4)))
 
 
 def test_close_is_relative():

@@ -272,10 +272,10 @@ def test_torsion_float_matches_exact():
 
 
 def test_torsion_class_calls_no_wedge(monkeypatch):
-    """ce_diff expands d e^i by bitmask, with no per-term KForm.wedge; neither
-    does the rest of torsion_class on a coframe-built structure."""
-    fx = catalog.load_fixture("n7_3_B_pure.json")
-    struct = G2Structure.from_coframe(catalog.coframe_from_fixture(fx))
+    """from_coframe and torsion_class work in the coframe's own frame: d expands
+    by bitmask, with no KForm.wedge. phi and *phi in the basis e are pulled
+    back only when read, and then equal the forms of the phi round trip."""
+    cof = catalog.coframe_from_fixture(catalog.load_fixture("n7_3_B_pure.json"))
     calls = []
     wedge = KForm.wedge
 
@@ -284,9 +284,72 @@ def test_torsion_class_calls_no_wedge(monkeypatch):
         return wedge(self, other)
 
     monkeypatch.setattr(KForm, "wedge", counted)
+    struct = G2Structure.from_coframe(cof)
     report = torsion_class(catalog.get("n7_3_B").algebra, struct)
     assert report.coclosed and report.purely_coclosed
     assert len(calls) == 0
+    monkeypatch.undo()
+    ref = G2Structure.from_phi(phi_from_coframe(cof))
+    assert struct.phi == ref.phi
+    assert struct.starphi == ref.starphi
+
+
+def test_frame_torsion_matches_the_phi_round_trip():
+    """torsion_class in the coframe's frame against torsion_class in the basis e
+    of the same phi (from_phi), exactly, on every catalog algebra; the float
+    coframe matches the exact tau0 to 1e-9 relative and every exact verdict."""
+    coframes = _cross_check_coframes()
+    refs = [G2Structure.from_phi(phi_from_coframe(cof)) for cof in coframes]
+    assert refs[-1].orientation == -1
+    for entry in map(catalog.get, catalog.names()):
+        L = entry.algebra
+        for cof, ref in zip(coframes, refs):
+            got = torsion_class(L, G2Structure.from_coframe(cof))
+            want = torsion_class(L, ref)
+            assert (got.coclosed, got.tau0, got.purely_coclosed, got.calibrates_derived) == (
+                want.coclosed, want.tau0, want.purely_coclosed, want.calibrates_derived)
+            flt = torsion_class(L, G2Structure.from_coframe([f.to_float() for f in cof]))
+            assert (flt.coclosed, flt.purely_coclosed, flt.calibrates_derived) == (
+                got.coclosed, got.purely_coclosed, got.calibrates_derived)
+            if got.tau0:
+                assert abs(flt.tau0 - float(got.tau0)) <= 1e-9 * abs(float(got.tau0))
+            else:
+                assert flt.residual_tau0 <= 1e-9
+
+
+_SCALES = (Fraction(1, 10 ** 8), Fraction(1, 1000), Fraction(1), Fraction(1000), Fraction(10 ** 8))
+
+
+@pytest.mark.parametrize("lam", _SCALES)
+def test_float_torsion_verdicts_are_homothety_invariant(lam):
+    """The identity coframe scaled by lam: float and exact verdicts agree on
+    every catalog algebra. With a floor of 1 under the residual scales, float
+    mode disagreed with exact mode on (coclosed, purely) at lam = 1/1000 on 14
+    of the 16 algebras."""
+    e = [KForm.basis(7, i) for i in range(1, 8)]
+    for entry in map(catalog.get, catalog.names()):
+        exact = torsion_class(entry.algebra, G2Structure.from_coframe([lam * f for f in e]))
+        flt = torsion_class(entry.algebra,
+                            G2Structure.from_coframe([float(lam) * f.to_float() for f in e]))
+        assert (flt.coclosed, flt.purely_coclosed, flt.calibrates_derived) == (
+            exact.coclosed, exact.purely_coclosed, exact.calibrates_derived), entry.name
+
+
+@pytest.mark.parametrize("lam", _SCALES)
+def test_scaled_family_coframe_is_not_purely_coclosed_in_either_mode(lam):
+    """The n7_3_A family coframe at a = b = c = 1 (tau0 = 6/7) scaled by lam has
+    tau0 = 6/(7 lam) and residuals that do not move; float mode once called it
+    purely coclosed at lam = 1/1000."""
+    fx = catalog.load_fixture("n7_3_A_family.json")
+    L = catalog.get("n7_3_A").algebra
+    for mode in Mode:
+        scale = lam if mode is Mode.EXACT else float(lam)
+        cof = catalog.coframe_from_fixture(fx, dict.fromkeys("abc", Fraction(1)), mode)
+        rep = torsion_class(L, G2Structure.from_coframe([scale * f for f in cof]))
+        assert rep.coclosed and not rep.purely_coclosed
+        assert abs(float(rep.tau0) - 6 / (7 * float(lam))) <= 1e-12 * abs(float(rep.tau0))
+        assert rep.residual_coclosed == 0.0
+        assert abs(rep.residual_tau0 - 3.0) <= 1e-12
 
 
 def test_calibrates_standard_associative_planes():

@@ -83,6 +83,12 @@ def test_fraction_inverse_is_exact(a):
         tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
+def test_integer_inverse_is_promoted_to_fractions():
+    got = mat_inv(((2, 1), (1, 3)))
+    assert got == ((Fraction(3, 5), Fraction(-1, 5)), (Fraction(-1, 5), Fraction(2, 5)))
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
 def spd_rows(a):
     """g = I + A^T A: a symmetric positive-definite Gram matrix."""
     n = len(a)
