@@ -262,29 +262,3 @@ def rational_root(x: Fraction, n: int) -> Fraction | None:
     if p is None or q is None:
         return None
     return Fraction(sign * p, q)
-
-
-def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write a positive integer as a^2 * b with b squarefree; returns (a, b).
-
-    Trial division stops once d^3 exceeds the cofactor m: its prime factors are
-    then all >= d > m^(1/3), so m is 1, p, p^2 or p*q, a square only as p^2.
-    """
-    if n <= 0:
-        raise ValueError("positive integer required")
-    a, b = 1, 1
-    d = 2
-    while d * d * d <= n:
-        if n % d == 0:
-            count = 0
-            while n % d == 0:
-                n //= d
-                count += 1
-            a *= d ** (count // 2)
-            if count % 2:
-                b *= d
-        d += 1 if d == 2 else 2
-    root = int_nth_root(n, 2)
-    if root is None:
-        return a, b * n
-    return a * root, b

@@ -57,7 +57,6 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import gram_schmidt_sq
-from ._radicals import Surd
 from .exterior import (DegenerateError, ExactnessError, KForm, Mode,
                        close, form_inner, resolve_tolerance)
 from .liealg import LieAlgebra, Metric, UnsupportedAlgebraError, _jmap, _nonzero
@@ -278,12 +277,6 @@ def _beta_coords(D: MetricDecomposition):
     return p, K, W, Q
 
 
-# `sd_gram` keeps irrational exact roots symbolic; the verdicts use
-# `Mode.root`, which finds an irrational exact root without factoring
-# (`Surd.sqrt` factors the radicand by trial division)
-_SQRT = {Mode.EXACT: Surd.sqrt, Mode.FLOAT: math.sqrt}
-
-
 def _trace(p, x, mode: Mode):
     """tr S = sum_i x_ii / (2 p_i), for x as (numerator, denominator) entries."""
     return mode.quotient_sum((x[i][i][0], 2 * p[i] * x[i][i][1]) for i in range(len(p)))
@@ -371,26 +364,42 @@ def sd_gram(D: MetricDecomposition, orientation: int = 1):
     """Gram matrix S of the self-dual parts of the d(zeta_i) on the canonical
     4-plane, for the given orientation (+1 or -1).
 
-    Exact mode: entries are Fractions when rational and Surd values otherwise;
-    float mode: plain floats. The roots are taken of p and Q for the public
-    bases (`zs`, `rtilde`), whose radicands are the smallest at hand.
+    S_ij = (K_ij + orientation W_ij sqrt(T)) sqrt(r) with T = 1/Q and
+    r = 1/(4 p_i p_j), for p, K, W, Q of the public bases (`zs`, `rtilde`).
+    Float mode returns floats. Exact mode returns Fractions and raises
+    ExactnessError when an entry is irrational (use a float metric): with
+    sqrt(T) rational the entry is x sqrt(r) for x = K_ij + orientation W_ij
+    sqrt(T), otherwise its parts K_ij sqrt(r) and W_ij sqrt(r T) are taken
+    apart; a part that is 0 needs no root, and every other root must be
+    rational. Raises ValueError unless orientation is +1 or -1.
     """
+    if orientation not in (1, -1):
+        raise ValueError(f"orientation must be +1 or -1, got {orientation!r}")
     if not D._plane_index:
         raise DegenerateError("no canonical 4-plane (abelian part is trivial)")
     mode = D.mode
     _p, K, W, _Q = _beta_coords(D)
     p, K, W, Q = _public_scale(D, K, W)
-    sqrt = _SQRT[mode]
-    try:
-        root = sqrt(1 / Q)
-        # x = K + or * W * sqrt(T), entry by entry: x_ij = 2 sqrt(p_i p_j) S_ij
-        x = [[a + orientation * b * root for a, b in zip(ka, wa)] for ka, wa in zip(K, W)]
-    except ValueError as exc:
-        raise ExactnessError("S mixes incompatible radicals; "
-                             "use a float metric for this Gram matrix") from exc
-    S = [[x[i][j] * sqrt(1 / (4 * p[i] * p[j])) for j in range(len(p))]
-         for i in range(len(p))]
-    return [[v.coef if isinstance(v, Surd) and v.is_rational else v for v in row] for row in S]
+    T = mode.div(1, Q)
+    root_T = mode.root(T, 2)
+
+    def times_root(x, r):
+        if not x:
+            return x
+        root = mode.root(r, 2)
+        if root is None:
+            raise ExactnessError("S has an irrational entry; "
+                                 "use a float metric for this Gram matrix")
+        return x * root
+
+    def entry(i, j):
+        r = mode.div(1, 4 * p[i] * p[j])
+        w = orientation * W[i][j]
+        if root_T is None:
+            return times_root(K[i][j], r) + times_root(w, r * T)
+        return times_root(K[i][j] + w * root_T, r)
+
+    return [[entry(i, j) for j in range(len(p))] for i in range(len(p))]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The scalar-generic linear-algebra layer: `dot` and `mat_vec` skip zero
 factors and must still equal the dense textbook sums; `mat_det`, `mat_inv`,
 `mat_mul` and `gram_schmidt_sq` give exact results on Fractions and agree with
-numpy on floats; `squarefree_decompose` agrees with full factoring."""
+numpy on floats."""
 
 from fractions import Fraction
 
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2nil._linalg import (dot, gram_schmidt_sq, mat_det, mat_inv, mat_mul, mat_vec,
-                           squarefree_decompose, transpose)
+                           transpose)
 from g2nil.exterior import DegenerateError, MetricContext, Mode
 from g2nil.liealg import Metric
 
@@ -133,29 +133,3 @@ def test_float_gram_minor_3x3_matches_numpy(a, rows_, cols):
     got = ctx.gram_minor(rows_, cols)
     assert type(got) is float
     assert abs(got - ref) <= 1e-10 * max(abs(ref), np.max(np.abs(inv)) ** 3)
-
-
-def _factored_square_part(n):
-    """(a, b) with n = a^2 b, b squarefree, by complete trial division."""
-    a = b = 1
-    d = 2
-    while n > 1:
-        count = 0
-        while n % d == 0:
-            n //= d
-            count += 1
-        a *= d ** (count // 2)
-        b *= d ** (count % 2)
-        d += 1
-    return a, b
-
-
-def test_squarefree_decompose_matches_factoring():
-    for n in range(1, 3000):
-        assert squarefree_decompose(n) == _factored_square_part(n), n
-    # the cofactor left after trial division up to the cube root: p^2, p q
-    p, q = 1000003, 1000033
-    assert squarefree_decompose(p * p) == (p, 1)
-    assert squarefree_decompose(p * q) == (1, p * q)
-    assert squarefree_decompose(7 * p * p) == (p, 7)
-    assert squarefree_decompose(p ** 3) == (p, p)

@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 
 from g2nil import catalog
 from g2nil._linalg import gram_schmidt_sq, mat_inv, mat_mul, rref, transpose
-from g2nil._radicals import Surd
 from g2nil.exterior import (DegenerateError, ExactnessError, KForm, ToleranceError,
                             form_inner)
 from g2nil.g2su3 import G2Structure, torsion_class
 from g2nil.liealg import LieAlgebra, Metric
 from g2nil.structure import (
     UnsupportedAlgebraError,
+    _beta_coords,
+    _public_scale,
     case1_exists,
     coclosed_always,
     coclosed_exists,
@@ -301,9 +302,20 @@ def test_orientation_label_agrees_across_modes_and_automorphisms():
     assert checked == 44  # 4 case-2 and 7 case-3 algebras
 
 
+def _sd_gram_in_floats(D, orient):
+    """S evaluated in floats from the exact p, K, W and Q of the public bases."""
+    _p, K, W, _Q = _beta_coords(D)
+    p, K, W, Q = _public_scale(D, K, W)
+    root = math.sqrt(1 / Q)
+    return [[(float(K[i][j]) + orient * float(W[i][j]) * root) / (2 * math.sqrt(p[i] * p[j]))
+             for j in range(len(p))] for i in range(len(p))]
+
+
 def test_float_sd_gram_matches_exact_entries():
+    # an exact S is rational; where an entry is irrational, exact sd_gram raises
+    # and the float S is held to S evaluated in floats from the exact p, K, W, Q
     rng = random.Random(SEED)
-    checked = surds = 0
+    rational = irrational = 0
     for entry in map(catalog.get, catalog.names()):
         if entry.derived_dim not in (2, 3):
             continue
@@ -315,18 +327,39 @@ def test_float_sd_gram_matches_exact_entries():
                 break  # n7_2_A, n7_2_B: no canonical 4-plane
             Df = _floated(D)
             for orient in (1, -1):
+                floated = sd_gram(Df, orient)
                 try:
                     exact = sd_gram(D, orient)
                 except ExactnessError:
-                    continue  # entries mixing two radicals have no exact form
-                floated = sd_gram(Df, orient)
-                surds += sum(isinstance(x, Surd) for row in exact for x in row)
+                    exact = _sd_gram_in_floats(D, orient)
+                    irrational += 1
+                else:
+                    assert all(type(x) in (int, Fraction) for row in exact for x in row)
+                    rational += 1
                 scale = max(abs(float(x)) for row in exact for x in row)
                 for row_e, row_f in zip(exact, floated):
                     for x, y in zip(row_e, row_f):
                         assert abs(float(x) - y) <= 1e-12 * scale, (entry.name, g.rows)
-                checked += 1
-    assert checked >= 120 and surds >= 20, (checked, surds)
+    assert rational >= 110 and irrational >= 60, (rational, irrational)
+
+
+def test_irrational_sd_gram_raises_in_exact_mode():
+    # at diag(1, ..., 7) the plane's Q is not a square, and S has irrational entries
+    g = Metric.diagonal(range(1, 8))
+    for L in (N7_3_B, H3C_R):
+        D, Df = decompose(L, g), decompose(L, g.to_float())
+        for orient in (1, -1):
+            with pytest.raises(ExactnessError, match="use a float metric"):
+                sd_gram(D, orient)
+            S = sd_gram(Df, orient)
+            assert all(math.isfinite(x) for row in S for x in row)
+
+
+@pytest.mark.parametrize("orientation", [0, 2, -2, 0.5, "+"])
+def test_sd_gram_rejects_bad_orientation(orientation):
+    D = decompose(N6_3_R, Metric.identity(7))
+    with pytest.raises(ValueError, match="orientation"):
+        sd_gram(D, orientation)
 
 
 def test_float_identity_is_evaluated_entry_by_entry():
@@ -719,7 +752,8 @@ def test_pinned_verdict_independent_of_earlier_calls():
     purely_coclosed_exists(L, g.to_float())
     purely_coclosed_exists(N7_3_B, g)
     coclosed_exists(L, g)
-    sd_gram(decompose(L, Metric.diagonal(range(1, 8))), orientation=-1)
+    with pytest.raises(ExactnessError):
+        sd_gram(decompose(L, Metric.diagonal(range(1, 8))), orientation=-1)
     for orient in (1, -1):
         S = sd_gram(decompose(L, g), orientation=orient)
         key = "s_plus" if orient == 1 else "s_minus"
