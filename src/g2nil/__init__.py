@@ -6,7 +6,7 @@ The package is organized bottom-up:
 * :mod:`g2nil.exterior` -- multilinear algebra: k-forms, wedge, interior
   product, metric inner products, Hodge star.
 * :mod:`g2nil.liealg` -- Lie algebras from structure constants, the
-  Chevalley-Eilenberg differential, the Ricci operator from the j-map and
+  Chevalley-Eilenberg differential, the Ricci operator in the basis e and
   nilsolitons.
 * :mod:`g2nil.g2su3` -- G2-structures from coframes, torsion reports and
   calibration checks.

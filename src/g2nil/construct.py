@@ -104,7 +104,8 @@ def _finish(L: LieAlgebra, g: Metric, coframe, case: int, kind: str,
             tol: float | None) -> Construction:
     eps = resolve_tolerance(tol)
     struct = G2Structure.from_coframe(coframe)
-    residual = float(np.max(np.abs(_gram(struct.metric) - _gram(g))))
+    gm = _gram(g)
+    residual = float(np.max(np.abs(_gram(struct.metric) - gm)))
     report = torsion_class(L, struct, tol=tol)
     if not report.coclosed:
         raise DegenerateError(
@@ -112,7 +113,7 @@ def _finish(L: LieAlgebra, g: Metric, coframe, case: int, kind: str,
     if kind == "purely" and not report.purely_coclosed:
         raise DegenerateError(
             f"constructed coframe is not purely coclosed (tau0 {report.tau0})")
-    if residual > 100 * eps:
+    if residual > 100 * eps * np.max(np.abs(gm)):
         raise DegenerateError(f"induced metric drifts from the input ({residual})")
     return Construction(case, kind, list(coframe), struct.phi, report, residual)
 
@@ -142,7 +143,7 @@ def _skew_blocks(B: np.ndarray, eps: float):
     vectors spanning ker B. All vectors are mutually orthonormal.
     """
     mu, V = np.linalg.eigh(-B @ B)     # eigenvalues a^2, ascending
-    scale = max(1.0, float(np.max(np.abs(B))) ** 2)
+    scale = float(np.max(np.abs(B))) ** 2
     kernel, blocks = [], []
     idx = list(np.argsort(mu))
     remaining = [V[:, k] for k in idx]
@@ -184,7 +185,7 @@ def construct_case1(D: MetricDecomposition, purely: bool = True,
             total = abs(sum(si * ai for si, ai in zip(s, amps)))
             if best_sum is None or total < best_sum:
                 best, best_sum = s, total
-        scale = 1.0 + sum(amps)
+        scale = sum(amps)
         if best_sum > _BLOCK_BALANCE * scale:
             raise DegenerateError(
                 f"cannot balance the torsion blocks (best residual {best_sum}); "

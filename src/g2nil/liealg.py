@@ -9,19 +9,20 @@ so ``[f_a, f_b] = -sum_k (d e^k)(f_a, f_b) f_k``. Structure constants are
 always exact rationals; metrics may be exact or float, and that choice decides
 the arithmetic mode of everything downstream.
 
-Ricci curvature is computed only for 2-step algebras, from the j-map
-(Eberlein, Ann. Sci. ENS 27, 1994); `ricci_operator` rejects any other
-algebra with `UnsupportedAlgebraError`.
+Ricci curvature is computed only for 2-step algebras, from the nilpotent
+Ricci formula in the basis e on cleared metric and structure constants;
+`ricci_operator` rejects any other algebra with `UnsupportedAlgebraError`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
 from typing import Callable, Sequence
 
-from ._linalg import (Mat, Vec, dot, gram_schmidt_sq, mat_inv, mat_mul, mat_vec, nullspace,
-                      row_space_basis, rref, transpose)
+from ._linalg import (Mat, Vec, dot, mat_mul, mat_vec, nullspace, row_space_basis, rref,
+                      transpose)
 from .exterior import (DegenerateError, G2nilError, KForm, MetricContext, Mode, ModeMismatchError,
                        _indices_from_mask, _merge_sign)
 
@@ -292,7 +293,7 @@ class Metric:
         self._nonzero = tuple(tuple((j, gij) for j, gij in enumerate(row) if gij)
                               for row in self.rows)
         self._ctx: MetricContext | None = None
-        self._G: tuple[Callable, object] | None = None
+        self._G: tuple[Callable, object, Mat] | None = None
 
     @classmethod
     def identity(cls, dim: int, mode: Mode = Mode.EXACT) -> "Metric":
@@ -318,8 +319,8 @@ class Metric:
         """
         return _bilinear(self._nonzero, self._zero, x, y)
 
-    def cleared(self) -> tuple[Callable, object]:
-        """(ip, den) with g = G / den and ip(x, y) = G(x, y), summed like `inner`.
+    def cleared(self) -> tuple[Callable, object, Mat]:
+        """(ip, den, G) with g = G / den and ip(x, y) = G(x, y), summed like `inner`.
 
         Exact mode: G is g's integer matrix over the lcm den of its
         denominators, so integer vectors give an integer. Float mode: G = g,
@@ -328,9 +329,9 @@ class Metric:
         if self._G is None:
             entries, den = self.mode.cleared([x for row in self.rows for x in row])
             n = self.dim
-            rows = tuple(tuple((j, x) for j, x in enumerate(entries[i * n:(i + 1) * n]) if x)
-                         for i in range(n))
-            self._G = partial(_bilinear, rows, self.mode.zero), den
+            G = tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
+            rows = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in G)
+            self._G = partial(_bilinear, rows, self.mode.zero), den, G
         return self._G
 
     def norm_sq(self, x: Sequence):
@@ -424,47 +425,46 @@ def jz_matrix(L: LieAlgebra, g: Metric, z: Sequence, basis: Sequence[Sequence]) 
             for row, (_, di) in zip(E, cleared)]
 
 
-def _unit_vectors(g: Metric) -> list[tuple]:
-    return [g.as_vector(int(i == k) for i in range(g.dim)) for k in range(g.dim)]
+def _ricci(L: LieAlgebra, g: Metric) -> tuple:
+    """(R, q) with the Ricci endomorphism Rc = g^-1 Ric = R / q: integers in
+    exact mode, q = 4 in float mode.
+
+    With (c_k)_ab = [e_a, e_b]^k, a 2-step nilpotent metric has, in the basis e,
+      Ric = 1/4 g T g - 1/2 sum_kl g_kl c_k g^-1 c_l^T,  T_kl = tr(c_k g^-1 c_l^T g^-1).
+    With g = G / den (`Metric.cleared`), G^-1 = H / det (`Mode.inverse`),
+    c_k = C_k / s (`LieAlgebra._structure`), P_k = C_k H and T'_kl = -tr(P_k P_l)
+    (the C_k are skew): Rc = den H (G T' G + 2 det sum_kl G_kl P_k C_l) / (4 det^3 s^2).
+    """
+    if not L.is_two_step():
+        raise UnsupportedAlgebraError("the Ricci formula needs a 2-step nilpotent algebra")
+    mode, n = g.mode, L.dim
+    _ip, den, G = g.cleared()
+    H, det = mode.inverse(G)
+    _d_terms, brackets, s = L._structure(mode)
+    C: dict[int, list[list]] = {}
+    for (a, b), col in brackets.items():
+        for k, c in col:
+            C.setdefault(k, [[0] * n for _ in range(n)])[a - 1][b - 1] = c
+    P = {k: mat_mul(Ck, H) for k, Ck in C.items()}
+    T = [[-sum(map(dot, P[k], transpose(P[l]))) if k in P and l in P else 0 for l in range(n)]
+         for k in range(n)]
+    # sum_kl G_kl P_k C_l as the row (P_k)_k times the column (sum_l G_kl C_l)_k
+    PC = mat_mul([sum((P[k][a] for k in P), ()) for a in range(n)],
+                 [[sum(G[k][l] * C[l][a][b] for l in C) for b in range(n)]
+                  for k in P for a in range(n)])
+    X = [[x + 2 * det * y for x, y in zip(*rows)] for rows in zip(mat_mul(mat_mul(G, T), G), PC)]
+    return tuple(tuple(den * x for x in row) for row in mat_mul(H, X)), 4 * det ** 3 * s * s
 
 
 def ricci_operator(L: LieAlgebra, g: Metric):
-    """Ricci endomorphism Rc = g^{-1} Ric of a 2-step nilpotent algebra, from the j-map.
+    """Ricci endomorphism Rc = g^-1 Ric of a 2-step nilpotent algebra: `_ricci`'s
+    R / q, one division per entry, so an exact metric gives an exact operator.
 
-    Take the normalization-free Gram-Schmidt basis z_k of n' with squared
-    norms p_k, and A_k = g^{-1} C_k with (C_k)_ab = g(z_k, [e_a, e_b]), so that
-    A_k is -j(z_k) in coordinates. Then (Eberlein)
-      Rc = 1/2 sum_k A_k^2 / p_k - 1/4 sum_{i,j} tr(A_i A_j) / (p_i p_j) z_j (g z_i)^T:
-    the first sum is Rc on the orthocomplement of n', the second Rc on n'.
-    Each z_k enters quadratically, so an exact metric gives an exact operator.
+    A nilsoliton Rc = c id + D (D a derivation) has c = tr(Rc^2) / tr(Rc)
+    (Lauret, Math. Ann. 319, 2001), which `is_nilsoliton` reads.
     """
-    if not L.is_two_step():
-        raise UnsupportedAlgebraError("the j-map Ricci formula needs a 2-step nilpotent algebra")
-    n = L.dim
-    zs, p = gram_schmidt_sq([g.as_vector(z) for z in L.derived_basis()], g.inner)
-    g_inv = mat_inv(g.rows)
-    gz = [mat_vec(g.rows, z) for z in zs]
-    _d_terms, brackets, s = L._structure(g.mode)
-    A = []
-    for w in gz:
-        ws = [g.mode.div(x, s) for x in w]  # g(z_k, .) / s, so C_k reads the numerators
-        C = tuple(tuple(sum(ws[k] * c for k, c in brackets[(a, b)] if ws[k])
-                        for b in range(1, n + 1)) for a in range(1, n + 1))
-        A.append(mat_mul(g_inv, C))
-    squares = [(mat_mul(Ak, Ak), 2 * pk) for Ak, pk in zip(A, p)]
-    rc = [[sum(sq[a][b] / d for sq, d in squares) for b in range(n)] for a in range(n)]
-    AT = [transpose(Ak) for Ak in A]
-    for j, zj in enumerate(zs):
-        # Rc -= z_j u^T with u = sum_i tr(A_i A_j) / (4 p_i p_j) g z_i
-        u = [g._zero] * n
-        for i, wi in enumerate(gz):
-            c = sum(dot(row, col) for row, col in zip(A[i], AT[j])) / (4 * p[i] * p[j])
-            if c:
-                u = [x + c * y for x, y in zip(u, wi)]
-        for a, za in enumerate(zj):
-            if za:
-                rc[a] = [x - za * y for x, y in zip(rc[a], u)]
-    return tuple(map(tuple, rc))
+    R, q = _ricci(L, g)
+    return tuple(tuple(g.mode.div(x, q) for x in row) for row in R)
 
 
 @dataclass
@@ -484,32 +484,29 @@ class NilsolitonReport:
 
 
 def is_nilsoliton(L: LieAlgebra, g: Metric, tol: float | None = None) -> NilsolitonReport:
-    """Test whether Ric = c*id + D for a derivation D of the algebra.
+    """Test whether Rc = c id + D for a derivation D of the algebra.
 
-    Equivalently K(x,y) + lam*[x,y] = 0 for all basis pairs, where
-    K(x,y) = Rc[x,y] - [Rc x, y] - [x, Rc y]; lam is found by least squares
-    and the residual must vanish (exactly, or within the tolerance). Like
-    `ricci_operator`, raises UnsupportedAlgebraError unless L is 2-step.
+    tr(Rc D) = 0 for every derivation D (Lauret, Math. Ann. 319, 2001), so
+    c = tr(Rc^2) / tr(Rc), and the test is whether Rc - c id is a derivation.
+    With Rc = R / q (`_ricci`), N = tr(R) R - tr(R^2) id is a multiple of it
+    (tr R, the scalar curvature times q, is negative). The residual is the
+    scale-free defect max |N[x, y] - [N x, y] - [x, N y]| / (max |N| max |C|)
+    over basis pairs, C the structure numerators of `LieAlgebra._structure`:
+    zero exactly, or within the tolerance. Like `ricci_operator`, raises
+    UnsupportedAlgebraError unless L is 2-step.
     """
-    rc = ricci_operator(L, g)
-    basis = _unit_vectors(g)
-    pairs = []
-    for a, x in enumerate(basis):
-        for y in basis[a + 1:]:
-            B = L.bracket(x, y)
-            K_vec = tuple(
-                u - v - w for u, v, w in zip(
-                    mat_vec(rc, B), L.bracket(mat_vec(rc, x), y), L.bracket(x, mat_vec(rc, y))))
-            pairs.append((K_vec, B))
-
-    # nonzero: ricci_operator rejected abelian algebras
-    denom = sum(g.inner(B, B) for _, B in pairs)
-    num = sum(g.inner(K, B) for K, B in pairs)
-    lam = -num / denom
-
-    # zero entries cannot raise a maximum, and most entries are zero
-    worst = max((abs(k + lam * b) for K, B in pairs for k, b in zip(K, B) if k or b),
-                default=0.0)
-    scale = 1.0 + max((abs(float(x)) for K, _ in pairs for x in K if x), default=0.0) \
-        + max((abs(float(x)) for _, B in pairs for x in B if x), default=0.0)
-    return NilsolitonReport(g.mode.equal(worst, 0, tol, scale), lam, float(worst), g.mode)
+    R, q = _ricci(L, g)
+    mode, n = g.mode, L.dim
+    tr1 = sum(R[i][i] for i in range(n))
+    tr2 = sum(map(dot, R, transpose(R)))
+    N = [[tr1 * x - tr2 * (i == j) for j, x in enumerate(row)] for i, row in enumerate(R)]
+    cols = [_nonzero(col) for col in zip(*N)]  # N e_a, like e[a]: (1-based index, scalar)
+    e = [[(a, 1)] for a in range(1, n + 1)]
+    worst = max(abs(u - v - w) for a, b in combinations(range(n), 2) for u, v, w in zip(
+        mat_vec(N, L._bracket_num(e[a], e[b], mode)), L._bracket_num(cols[a], e[b], mode),
+        L._bracket_num(e[a], cols[b], mode)))
+    scale = max(abs(x) for row in N for x in row) * max(
+        abs(c) for col in L._structure(mode)[1].values() for _k, c in col)
+    residual = mode.div(worst, scale)
+    return NilsolitonReport(mode.equal(residual, 0, tol, 1.0), mode.div(tr2, q * tr1),
+                            float(residual), mode)

@@ -173,7 +173,7 @@ def decompose(L: LieAlgebra, g: Metric) -> MetricDecomposition:
         raise UnsupportedAlgebraError(
             f"derived algebra has dimension {len(nprime)}; supported: 1, 2, 3")
     mode = g.mode
-    ip, den = g.cleared()
+    ip, den, _G = g.cleared()
     # each start vector is (v_i | e_i): its second half ends as v_i's coefficient
     ws, norms = gram_schmidt_sq(L._gram_schmidt_starts(mode), ip, mode.project_out)
     n = L.dim

@@ -1,5 +1,5 @@
 """Lie algebras from structure constants: Chevalley-Eilenberg differential,
-brackets, j(z) maps, the j-map Ricci operator and nilsolitons."""
+brackets, j(z) maps, the Ricci operator and nilsolitons."""
 
 import random
 from fractions import Fraction
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2nil import catalog
-from g2nil._linalg import gram_schmidt_sq, mat_inv, mat_mul
+from g2nil._linalg import gram_schmidt_sq, mat_inv, mat_mul, mat_vec
 from g2nil.exterior import KForm, Mode, ModeMismatchError
 from g2nil.liealg import (
     LieAlgebra,
@@ -21,6 +21,7 @@ from g2nil.liealg import (
     jz_matrix,
     ricci_operator,
 )
+from test_structure import _automorphism, _pull_back
 
 SEED = 911
 
@@ -300,7 +301,7 @@ def generic_ricci(L, g):
                  + 1/4 sum_{i,j} g([u_i,u_j],x) g([u_i,u_j],y).
     The frame comes from normalization-free Gram-Schmidt, so an exact metric
     gives an exact tensor (each u_i enters quadratically). The oracle for
-    the j-map formula of `ricci_operator`."""
+    the basis-e formula of `ricci_operator`."""
     n = L.dim
     basis = [g.as_vector(int(i == k) for i in range(n)) for k in range(n)]
     ortho, q = gram_schmidt_sq(basis, g.inner)
@@ -395,15 +396,62 @@ def test_non_nilsoliton_metric_rejected():
     g = Metric.diagonal([2, 1, 1, 1, 1, 1, 1])
     rep = is_nilsoliton(H5_R2, g)
     assert not rep.is_nilsoliton
-    assert rep.residual > 0  # best-fit constant is reported, residual is not zero
+    assert rep.residual > 0  # c = tr(Rc^2) / tr(Rc) is reported, Rc - c id is no derivation
+
+
+def _oracle_nilsoliton(L, g):
+    """(c, residual) from `generic_ricci`: c = tr(Rc^2) / tr(Rc) and the
+    derivation defect of N = tr(Rc) Rc - tr(Rc^2) id over max |N| max |c^k_ab|."""
+    rc = mat_mul(mat_inv(g.rows), generic_ricci(L, g))
+    tr1 = sum(rc[i][i] for i in range(7))
+    tr2 = sum(rc[i][j] * rc[j][i] for i in range(7) for j in range(7))
+    N = [[tr1 * x - tr2 * (i == j) for j, x in enumerate(row)] for i, row in enumerate(rc)]
+    units = [tuple(Fraction(int(i == k)) for i in range(7)) for k in range(7)]
+    pairs = list(combinations(units, 2))
+    defect = max(abs(u - v - w) for x, y in pairs for u, v, w in zip(
+        mat_vec(N, L.bracket(x, y)), L.bracket(mat_vec(N, x), y), L.bracket(x, mat_vec(N, y))))
+    constants = max(abs(c) for x, y in pairs for c in L.bracket(x, y))
+    return tr2 / tr1, defect / (max(abs(x) for row in N for x in row) * constants)
 
 
 def test_exact_nilsoliton_residual_matches_float():
     g = Metric.diagonal(range(1, 8))
     exact, floated = is_nilsoliton(H7, g), is_nilsoliton(H7, g.to_float())
     assert not exact.is_nilsoliton and not floated.is_nilsoliton
-    assert abs(floated.residual - 2.0611) < 1e-4
+    c, residual = _oracle_nilsoliton(H7, g)
+    assert exact.soliton_constant == c
+    assert exact.residual == float(residual)
     assert abs(exact.residual - floated.residual) <= 1e-12 * floated.residual
+
+
+def test_nilsoliton_float_residual_is_scale_free():
+    # float mode judges the defect against max |N| max |C|, not an absolute 1,
+    # so a homothety leaves the residual and the verdict alone
+    exact = is_nilsoliton(H7, Metric.diagonal(range(1, 8))).residual
+    for lam in (10**8, 10**10, 10**12):
+        rep = is_nilsoliton(H7, Metric.diagonal([float(lam * i) for i in range(1, 8)]))
+        assert not rep.is_nilsoliton
+        assert abs(rep.residual - exact) <= 1e-12 * exact
+
+
+def test_nilsoliton_survives_automorphism_and_homothety():
+    # g(A x, A y) for an automorphism A is isometric to g, and lam g has
+    # Rc / lam: still a nilsoliton, with constant c / lam, in both modes
+    rng = random.Random(SEED + 9)
+    checked = 0
+    for entry in map(catalog.get, catalog.names()):
+        if entry.nilsoliton_diag is None:
+            continue
+        L, c = entry.algebra, entry.nilsoliton_constant
+        g = _pull_back(entry.nilsoliton_metric, _automorphism(entry.structure, rng))
+        for lam in (Fraction(1, 10**8), Fraction(1, 2), Fraction(3, 2), 10**8):
+            h = Metric([[lam * x for x in row] for row in g.rows])
+            exact, floated = is_nilsoliton(L, h), is_nilsoliton(L, h.to_float())
+            assert exact.is_nilsoliton and exact.soliton_constant == c / lam, (entry.name, lam)
+            assert floated.is_nilsoliton, (entry.name, lam, floated.residual)
+            assert abs(floated.soliton_constant - c / lam) <= 1e-12 * abs(c / lam)
+            checked += 1
+    assert checked == 56
 
 
 def test_nilsoliton_float_mode():
