@@ -11,14 +11,15 @@ Matrices are tuples of tuples; vectors are tuples. `MinorTable` caches the
 minors of one matrix, each a Laplace expansion over smaller cached minors;
 `mat_det` is its full minor, and `exterior.MetricContext` reads the
 complementary minors behind `hodge` from one. `mat_inv` pivots on the
-largest |entry|.
+largest |entry|, and `mat_inv_det` also returns the determinant as the signed
+product of those pivots.
 
 The exact criteria run on integers throughout and divide once at the end:
 `gram_schmidt_sq` takes its projection step as an argument, and
 `exterior.Mode.project_out` (integer Gram-Schmidt) and `Mode.inverse` (the
 integer adjugate and determinant, by fraction-free Gauss-Jordan elimination)
-are the integer steps; the classical `project_out` and `mat_inv` are the
-float ones.
+are the integer steps; the classical `project_out` and `mat_inv_det` are
+the float ones.
 
 `dot` and `mat_vec` skip zero factors: the vectors and matrices met here
 (basis vectors, diagonal metrics, structure constants) are mostly zeros, and
@@ -119,28 +120,38 @@ def mat_det(a: Mat):
 
 
 def mat_inv(a: Mat) -> Mat:
-    """a^-1 by Gauss-Jordan elimination on [a | I]. Int entries are promoted to
-    Fraction, so an integer or Fraction matrix gives its exact inverse and a
-    float matrix a float one; raises ZeroDivisionError when a is singular."""
+    """a^-1 by Gauss-Jordan elimination on [a | I] (`mat_inv_det`)."""
+    return mat_inv_det(a)[0]
+
+
+def mat_inv_det(a: Mat) -> tuple[Mat, object]:
+    """(a^-1, det a) by Gauss-Jordan elimination on [a | I]; det a is the signed
+    product of the pivots. Int entries are promoted to Fraction, so an integer
+    or Fraction matrix gives its exact inverse and a float matrix a float one;
+    raises ZeroDivisionError when a is singular."""
     n = len(a)
     kind = type(a[0][0]) if a else Fraction
     if kind is int or kind is Fraction:
         kind, a = Fraction, [[Fraction(x) if type(x) is int else x for x in row] for row in a]
     aug = [list(row) + [kind(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    det = kind(1)
     for col in range(n):
         # the largest |entry| in column col, from row col on
         pivot = max((r for r in range(col, n) if aug[r][col]),
                     key=lambda r: abs(aug[r][col]), default=None)
         if pivot is None:
             raise ZeroDivisionError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            det = -det
+        det *= aug[col][col]
         inv = 1 / aug[col][col]
         aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col]:
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    return tuple(tuple(row[n:]) for row in aug), det
 
 
 def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:

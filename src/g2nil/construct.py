@@ -17,10 +17,19 @@ the last three covectors are an orthonormal basis of n'* (plus, when
 dim n' = 2, the unit covector of the abelian direction the 4-plane leaves
 over, whose differential vanishes), rotated by the canonical P in O(3) of
 `structure.symmetrize_M`.
+
+Each piece of work is done once. The matrices of d z-flat on an orthonormal
+frame F come from one contraction over every z at once,
+B_z = -F (sum_k (g z)_k c_k) F^T, with c the algebra's float structure
+tensor (`LieAlgebra._structure_tensor`). `structure.decompose` hands out its
+last decomposition again for the same algebra and metric objects, so a
+construction right after the criterion shares its Gram-Schmidt pass and
+self-dual data. The coframe is verified in its own frame, and
+`Construction.phi` pulls phi back into the basis e only when read.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,10 +58,10 @@ _ROUNDING_NOISE = 1e-12
 # small numerical helpers
 
 
-def _unit(vectors, norms_sq) -> list[np.ndarray]:
+def _unit(vectors, norms_sq) -> np.ndarray:
     """Pairwise g-orthogonal vectors (a decomposition's bases) divided by their
-    norms: an orthonormal frame."""
-    return [np.array(w, dtype=float) / np.sqrt(float(q)) for w, q in zip(vectors, norms_sq)]
+    norms: an orthonormal frame, one vector per row."""
+    return np.array(vectors, dtype=float) / np.sqrt(np.array(norms_sq, dtype=float))[:, None]
 
 
 def _gram(g: Metric) -> np.ndarray:
@@ -61,19 +70,15 @@ def _gram(g: Metric) -> np.ndarray:
 
 def _flat(v: np.ndarray, gm: np.ndarray) -> KForm:
     """Covector g(v, .) as a float 1-form."""
-    coeffs = gm @ v
-    return KForm.from_terms(len(v), 1, {(i + 1,): float(c)
-                                        for i, c in enumerate(coeffs) if abs(c) > 0.0},
-                            Mode.FLOAT)
+    return KForm(len(v), 1, {1 << i: float(c) for i, c in enumerate(gm @ v)}, Mode.FLOAT)
 
 
 # sigma_1 = e13 - e24, sigma_2 = -e14 - e23, sigma_3 = e12 + e34 as
-# coefficient maps on index pairs of an orthonormal 4-frame (0-based)
-_SIGMA = (
-    {(0, 2): 1.0, (1, 3): -1.0},
-    {(0, 3): -1.0, (1, 2): -1.0},
-    {(0, 1): 1.0, (2, 3): 1.0},
-)
+# coefficients on the index pairs a < b of an orthonormal 4-frame (0-based)
+_SIGMA = np.zeros((3, 4, 4))
+_SIGMA[0, 0, 2], _SIGMA[0, 1, 3] = 1.0, -1.0
+_SIGMA[1, 0, 3], _SIGMA[1, 1, 2] = -1.0, -1.0
+_SIGMA[2, 0, 1], _SIGMA[2, 2, 3] = 1.0, 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +90,15 @@ class Construction:
     case: int
     kind: str                    # "purely" or "coclosed"
     coframe: list                # seven float 1-forms
-    phi: KForm
+    # the verified structure of the coframe; `phi` reads it
+    _structure: G2Structure = field(repr=False, compare=False)
     torsion: TorsionReport
     metric_residual: float
+
+    @property
+    def phi(self) -> KForm:
+        """The adapted 3-form in the basis e, pulled back on first read."""
+        return self._structure.phi
 
     def to_json(self) -> dict:
         return {
@@ -115,19 +126,18 @@ def _finish(L: LieAlgebra, g: Metric, coframe, case: int, kind: str,
             f"constructed coframe is not purely coclosed (tau0 {report.tau0})")
     if residual > 100 * eps * np.max(np.abs(gm)):
         raise DegenerateError(f"induced metric drifts from the input ({residual})")
-    return Construction(case, kind, list(coframe), struct.phi, report, residual)
+    return Construction(case, kind, list(coframe), struct, report, residual)
 
 
-def _beta_matrix(L: LieAlgebra, gm: np.ndarray, z: np.ndarray, frame) -> np.ndarray:
-    """B_ab = -g(z, [u_a, u_b]) on an orthonormal frame (matrix of d z-flat)."""
-    k = len(frame)
-    B = np.zeros((k, k))
-    for a in range(k):
-        for b in range(a + 1, k):
-            w = np.array(L.bracket(frame[a].tolist(), frame[b].tolist()))
-            B[a, b] = -float(z @ gm @ w)
-            B[b, a] = -B[a, b]
-    return B
+def _beta_matrices(L: LieAlgebra, gm: np.ndarray, zs: np.ndarray,
+                   frame: np.ndarray) -> np.ndarray:
+    """B_z(a, b) = -g(z, [u_a, u_b]) for each row z of zs on an orthonormal frame
+    u (the rows of frame): the matrices of d z-flat, as one contraction
+    B_z = -F (sum_k (g z)_k c_k) F^T with c the structure tensor
+    (`LieAlgebra._structure_tensor`) and F the frame. Exactly skew."""
+    C = np.tensordot(zs @ gm, L._structure_tensor(), axes=1)
+    B = frame @ C @ frame.T
+    return 0.5 * (B.transpose(0, 2, 1) - B)
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +147,11 @@ def _beta_matrix(L: LieAlgebra, gm: np.ndarray, z: np.ndarray, frame) -> np.ndar
 def _skew_blocks(B: np.ndarray, eps: float):
     """Decompose a real skew matrix into planar blocks and a kernel.
 
-    Returns (blocks, kernel): blocks are (v, w, a) with B v = -a w, B w = a v
-    (so the 2-form represented by B restricts to -a v-flat ∧ w-flat ... the
-    sign is normalised by the caller), a > 0; kernel is a list of orthonormal
-    vectors spanning ker B. All vectors are mutually orthonormal.
+    Returns (blocks, kernel): blocks are (v, w, a) with a > 0, B v = a w and
+    B w = -a v, so the 2-form of B restricts to the plane of v and w as
+    -a v-flat ∧ w-flat = a w-flat ∧ v-flat (`construct_case1` orders each
+    pair for the sign it needs); kernel is a list of orthonormal vectors
+    spanning ker B. All vectors are mutually orthonormal.
     """
     mu, V = np.linalg.eigh(-B @ B)     # eigenvalues a^2, ascending
     scale = float(np.max(np.abs(B))) ** 2
@@ -174,7 +185,7 @@ def construct_case1(D: MetricDecomposition, purely: bool = True,
     gm = _gram(D.g)
     z = _unit(D.zs, D.p)[0]
     frame6 = _unit(D.complement, D.complement_sq)
-    B = _beta_matrix(L, gm, z, frame6)
+    B = _beta_matrices(L, gm, z[None], frame6)[0]
     blocks, kernel = _skew_blocks(B, eps)
     amps = [a for (_v, _w, a) in blocks]
     signs = [1.0] * len(blocks)
@@ -199,8 +210,7 @@ def construct_case1(D: MetricDecomposition, purely: bool = True,
     pair_coords.extend(kernel)
     if len(pair_coords) != 6:
         raise DegenerateError("block decomposition lost directions")
-    F6 = np.array(frame6)        # rows are the frame vectors in ambient coords
-    coframe = [_flat(c @ F6, gm) for c in pair_coords] + [_flat(z, gm)]
+    coframe = [_flat(c @ frame6, gm) for c in pair_coords] + [_flat(z, gm)]
     return coframe
 
 
@@ -215,16 +225,15 @@ def _oriented_plane_frame(D: MetricDecomposition, orientation: str):
     return frame
 
 
-def _m_matrix(L: LieAlgebra, gm: np.ndarray, zs, frame4) -> np.ndarray:
+def _m_matrix(L: LieAlgebra, gm: np.ndarray, zs: np.ndarray, frame4: np.ndarray) -> np.ndarray:
     """M_mj = <sigma_m, d z_j-flat> on the orthonormal 4-frame.
 
     M is 0 when each column is at rounding noise of the matrix of d z_j-flat,
     so that M = 0 (no self-dual part) stays 0, and P = I, under last-bit
     changes of g.
     """
-    Bs = np.array([_beta_matrix(L, gm, z, frame4) for z in zs])
-    M = np.array([[sum(c * B[a, b] for (a, b), c in sig.items()) for B in Bs]
-                  for sig in _SIGMA])
+    Bs = _beta_matrices(L, gm, zs, frame4)
+    M = np.tensordot(_SIGMA, Bs, axes=([1, 2], [1, 2]))
     noise = _ROUNDING_NOISE * np.abs(Bs).max(axis=(1, 2))
     return M if (np.abs(M) > noise).any() else np.zeros_like(M)
 
@@ -252,13 +261,13 @@ def construct_selfdual(D: MetricDecomposition, report: CriterionReport | None = 
             raise DegenerateError("the metric fails the purely coclosed criterion")
         orientation = report.orientation or "+"
     frame4 = _oriented_plane_frame(D, orientation)
-    zs = _unit(D.zs, D.p) + _unit(D.complement[4:], D.complement_sq[4:])
+    zs = _unit([*D.zs, *D.complement[4:]], [*D.p, *D.complement_sq[4:]])
     M = _m_matrix(L, gm, zs, frame4)
     if purely:
         P = np.array(symmetrize_M(M.tolist(), tol)["P"])
     else:
         P = _polar(M, tol)[0].T
-    rotated = P.T @ np.array(zs)      # row j: sum_k P_kj z_k
+    rotated = P.T @ zs      # row j: sum_k P_kj z_k
     return [_flat(v, gm) for v in [*frame4, *rotated]]
 
 

@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import combinations
 from numbers import Real
 
-from ._linalg import MinorTable, frac, mat_inv, project_out, rational_root
+from ._linalg import MinorTable, frac, mat_inv_det, project_out, rational_root
 
 MAX_DIM = 10
 
@@ -144,9 +144,11 @@ class Mode(Enum):
         return [x // c for x in v] if c > 1 else v
 
     def inverse(self, a) -> tuple:
-        """(b, d) with a^-1 = b / d: in exact mode the adjugate and determinant of
-        an integer matrix; in float mode `mat_inv(a)`, pivoting on the largest
-        entry, and d = 1. Raises ZeroDivisionError when a is singular.
+        """(b, d, det a) with a^-1 = b / d: in exact mode the adjugate and
+        determinant of an integer matrix, d = det a; in float mode a^-1 itself
+        and d = 1, pivoting on the largest entry, with det a the signed product
+        of the pivots (`mat_inv_det`). Raises ZeroDivisionError when a is
+        singular.
 
         The exact branch is fraction-free Gauss-Jordan elimination on [a | I]
         (Bareiss 1968): step k replaces every row i != k by (p_k row_i -
@@ -155,7 +157,8 @@ class Mode(Enum):
         with p = ±det a, the sign that of the row swaps taken at zero pivots.
         """
         if self is Mode.FLOAT:
-            return mat_inv(a), 1
+            inv, det = mat_inv_det(a)
+            return inv, 1, det
         n = len(a)
         rows = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)]
         sign, prev = 1, 1
@@ -176,7 +179,8 @@ class Mode(Enum):
                 elif pk != prev:
                     row[k + 1:] = [pk * x // prev for x in row[k + 1:]]
             prev = pk
-        return tuple(tuple(sign * x for x in row[n:]) for row in rows), sign * prev
+        det = sign * prev
+        return tuple(tuple(sign * x for x in row[n:]) for row in rows), det, det
 
     def encode(self, x):
         """A scalar for JSON: the exact value as a string, or a float."""

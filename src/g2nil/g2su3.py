@@ -258,9 +258,8 @@ class G2Structure:
         t, den = _cleared_coframe(coframe)
         mode = t[0].mode
         N = tuple(tuple(f._terms.get(1 << j, mode.zero) for j in range(7)) for f in t)
-        det = mat_det(N)
         try:
-            adj, d = mode.inverse(N)
+            adj, d, det = mode.inverse(N)
         except ZeroDivisionError:
             det = 0
         if not det:

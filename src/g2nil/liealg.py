@@ -21,6 +21,8 @@ from functools import partial
 from itertools import combinations
 from typing import Callable, Sequence
 
+import numpy as np
+
 from ._linalg import (Mat, Vec, dot, mat_mul, mat_vec, nullspace, row_space_basis, rref,
                       transpose)
 from .exterior import (DegenerateError, G2nilError, KForm, MetricContext, Mode, ModeMismatchError,
@@ -56,6 +58,7 @@ class LieAlgebra:
         # and the adapted basis as cleared Gram-Schmidt start vectors
         self._constants: dict[Mode, tuple] = {}
         self._starts: dict[Mode, tuple] = {}
+        self._tensor: np.ndarray | None = None
         # metric-independent invariants, computed on first use
         self._derived: tuple[Vec, ...] | None = None
         self._center: tuple[Vec, ...] | None = None
@@ -124,6 +127,18 @@ class LieAlgebra:
             brackets = {ij: tuple(sorted(col.items())) for ij, col in cols.items()}
             cached = self._constants[mode] = (d_terms, brackets, s)
         return cached
+
+    def _structure_tensor(self) -> np.ndarray:
+        """The float structure tensor c with [f_i, f_j] = sum_k c[k, i, j] f_k
+        (0-based), from `_structure`'s float constants; built once, read-only."""
+        if self._tensor is None:
+            c = np.zeros((self.dim,) * 3)
+            for (a, b), col in self._structure(Mode.FLOAT)[1].items():
+                for k, x in col:
+                    c[k, a - 1, b - 1] = x
+            c.flags.writeable = False
+            self._tensor = c
+        return self._tensor
 
     def ce_diff(self, form: KForm) -> KForm:
         """Chevalley-Eilenberg differential, extended as an antiderivation:
@@ -404,7 +419,7 @@ def _jmap(L: LieAlgebra, ip: Callable, z: Sequence, basis: Sequence[Sequence],
     sparse = [_nonzero(w) for w in basis]
     c = tuple(tuple(ip(z, L._bracket_num(sparse[j], sparse[i], mode)) for j in range(m))
               for i in range(m))
-    adj, d = mode.inverse(gram)
+    adj, d, _det = mode.inverse(gram)
     return mat_mul(adj, c), d
 
 
@@ -431,15 +446,16 @@ def _ricci(L: LieAlgebra, g: Metric) -> tuple:
 
     With (c_k)_ab = [e_a, e_b]^k, a 2-step nilpotent metric has, in the basis e,
       Ric = 1/4 g T g - 1/2 sum_kl g_kl c_k g^-1 c_l^T,  T_kl = tr(c_k g^-1 c_l^T g^-1).
-    With g = G / den (`Metric.cleared`), G^-1 = H / det (`Mode.inverse`),
-    c_k = C_k / s (`LieAlgebra._structure`), P_k = C_k H and T'_kl = -tr(P_k P_l)
-    (the C_k are skew): Rc = den H (G T' G + 2 det sum_kl G_kl P_k C_l) / (4 det^3 s^2).
+    With g = G / den (`Metric.cleared`), G^-1 = H / d (`Mode.inverse`: d = det G
+    in exact mode, 1 in float mode), c_k = C_k / s (`LieAlgebra._structure`),
+    P_k = C_k H and T'_kl = -tr(P_k P_l) (the C_k are skew):
+    Rc = den H (G T' G + 2 d sum_kl G_kl P_k C_l) / (4 d^3 s^2).
     """
     if not L.is_two_step():
         raise UnsupportedAlgebraError("the Ricci formula needs a 2-step nilpotent algebra")
     mode, n = g.mode, L.dim
     _ip, den, G = g.cleared()
-    H, det = mode.inverse(G)
+    H, d, _det = mode.inverse(G)
     _d_terms, brackets, s = L._structure(mode)
     C: dict[int, list[list]] = {}
     for (a, b), col in brackets.items():
@@ -452,8 +468,8 @@ def _ricci(L: LieAlgebra, g: Metric) -> tuple:
     PC = mat_mul([sum((P[k][a] for k in P), ()) for a in range(n)],
                  [[sum(G[k][l] * C[l][a][b] for l in C) for b in range(n)]
                   for k in P for a in range(n)])
-    X = [[x + 2 * det * y for x, y in zip(*rows)] for rows in zip(mat_mul(mat_mul(G, T), G), PC)]
-    return tuple(tuple(den * x for x in row) for row in mat_mul(H, X)), 4 * det ** 3 * s * s
+    X = [[x + 2 * d * y for x, y in zip(*rows)] for rows in zip(mat_mul(mat_mul(G, T), G), PC)]
+    return tuple(tuple(den * x for x in row) for row in mat_mul(H, X)), 4 * d ** 3 * s * s
 
 
 def ricci_operator(L: LieAlgebra, g: Metric):

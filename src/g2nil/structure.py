@@ -159,9 +159,29 @@ class MetricDecomposition:
         """The canonical oriented 4-plane: complement[:4] (dim n' in {2, 3})."""
         return self.complement[:4] if self._plane_index else []
 
+    @cached_property
+    def _beta(self) -> tuple:
+        """`_beta_coords` of this decomposition, computed once."""
+        return _beta_coords(self)
+
+
+# the last decomposition made, which `decompose` hands out again
+_last: MetricDecomposition | None = None
+
 
 def decompose(L: LieAlgebra, g: Metric) -> MetricDecomposition:
-    """Split the algebra along the metric; entry point for all criteria."""
+    """Split the algebra along the metric; entry point for all criteria.
+
+    The last decomposition is kept, and the same L and g objects (matched by
+    identity) get it back: a criterion and the construction that follows it
+    split the metric, and compute `_beta_coords`, once. It is kept here, not
+    on L or g, because it holds both: no reference cycle forms, and neither
+    object can be freed for another to take its id while it is kept.
+    """
+    global _last
+    D = _last
+    if D is not None and D.L is L and D.g is g:
+        return D
     if L.dim != 7:
         raise UnsupportedAlgebraError("expected a 7-dimensional algebra")
     if not L.is_two_step():
@@ -177,8 +197,10 @@ def decompose(L: LieAlgebra, g: Metric) -> MetricDecomposition:
     # each start vector is (v_i | e_i): its second half ends as v_i's coefficient
     ws, norms = gram_schmidt_sq(L._gram_schmidt_starts(mode), ip, mode.project_out)
     n = L.dim
-    return MetricDecomposition(L, g, mode, nprime, L.center_basis(), [w[:n] for w in ws],
-                               [w[n + i] for i, w in enumerate(ws)], norms, den)
+    D = _last = MetricDecomposition(
+        L, g, mode, nprime, L.center_basis(), [w[:n] for w in ws],
+        [w[n + i] for i, w in enumerate(ws)], norms, den)
+    return D
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +400,7 @@ def sd_gram(D: MetricDecomposition, orientation: int = 1):
     if not D._plane_index:
         raise DegenerateError("no canonical 4-plane (abelian part is trivial)")
     mode = D.mode
-    _p, K, W, _Q = _beta_coords(D)
+    _p, K, W, _Q = D._beta
     p, K, W, Q = _public_scale(D, K, W)
     T = mode.div(1, Q)
     root_T = mode.root(T, 2)
@@ -418,7 +440,7 @@ def selfdual_exists(D: MetricDecomposition, tol: float | None = None) -> Criteri
                                 "reason": "no coclosed structures: center equals "
                                           "the derived algebra"}, D.mode)
     mode = D.mode
-    p, K, W, Q = _beta_coords(D)
+    p, K, W, Q = D._beta
     root = mode.root(mode.div(1, Q), 2)
     if root is None:
         exists, orient, pairs = _irrational_identity(D, p, K, W, Q, tol)

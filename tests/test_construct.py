@@ -1,19 +1,23 @@
 """Constructive witnesses: adapted coframes realizing the structures the
 existence criteria predict, with the induced metric matching the input."""
 
+import importlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from g2nil import catalog
-from g2nil.construct import construct
-from g2nil.exterior import DegenerateError
-from g2nil.g2su3 import G2Structure, torsion_class
+from g2nil.construct import _beta_matrices, construct
+from g2nil.exterior import DegenerateError, KForm
+from g2nil.g2su3 import G2Structure, phi_from_coframe, torsion_class
 from g2nil.liealg import LieAlgebra, Metric
-from g2nil.structure import purely_coclosed_exists
+from g2nil.structure import decompose, purely_coclosed_exists
+
+structure_module = importlib.import_module("g2nil.structure")
 
 SEED = 86420
 
@@ -219,3 +223,82 @@ def test_case2_coclosed_construction(name):
     assert result.torsion.coclosed
     assert not result.torsion.purely_coclosed
     assert result.metric_residual < 1e-9
+
+
+def _orthonormal_rows(rng, gm, k):
+    """k g-orthonormal vectors, as rows: Gram-Schmidt of random vectors in g."""
+    frame = []
+    for _ in range(k):
+        v = np.array([rng.uniform(-1.0, 1.0) for _ in range(7)])
+        for u in frame:
+            v = v - (u @ gm @ v) * u
+        frame.append(v / np.sqrt(v @ gm @ v))
+    return np.array(frame)
+
+
+def test_beta_contraction_matches_brackets():
+    """The one contraction B_z = -F (sum_k (g z)_k c_k) F^T against
+    B_ab = -g(z, [u_a, u_b]) through L.bracket, on every catalog algebra, for
+    random float metrics, orthonormal frames of 4, 6 and 7 vectors and z's."""
+    rng = random.Random(SEED + 2)
+    checked = 0
+    for name in catalog.names():
+        L = catalog.get(name).algebra
+        a = np.array([[rng.uniform(-1.0, 1.0) for _ in range(7)] for _ in range(7)])
+        gm = a.T @ a + np.eye(7)
+        for k in (4, 6, 7):
+            frame = _orthonormal_rows(rng, gm, k)
+            zs = np.array([[rng.uniform(-1.0, 1.0) for _ in range(7)] for _ in range(3)])
+            for z, B in zip(zs, _beta_matrices(L, gm, zs, frame)):
+                want = np.array([[-(z @ gm @ np.array(L.bracket(frame[i].tolist(),
+                                                                 frame[j].tolist())))
+                                  for j in range(k)] for i in range(k)])
+                assert np.max(np.abs(B - want)) <= 1e-13 * np.max(np.abs(want)), name
+                assert np.array_equal(B, -B.T)
+                checked += 1
+    assert checked == 16 * 3 * 3
+
+
+def _count_calls(monkeypatch, counts, owner, name):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("name", ["h7", "h3C_R", "n7_3_B"])
+def test_construct_reuses_the_criterion_decomposition(monkeypatch, name):
+    """The criterion and then construct on the same L and g: one Gram-Schmidt
+    pass and one _beta_coords (none in case 1); construct wedges nothing, and
+    phi is pulled back when read."""
+    counts = Counter()
+    for owner, fn in ((structure_module, "gram_schmidt_sq"),
+                      (structure_module, "_beta_coords"), (KForm, "wedge")):
+        _count_calls(monkeypatch, counts, owner, fn)
+    entry = catalog.get(name)
+    L, g = entry.algebra, entry.witness_metric.to_float()
+    assert purely_coclosed_exists(L, g).exists
+    made = construct(L, g)
+    assert counts == Counter(gram_schmidt_sq=1, _beta_coords=int(entry.derived_dim > 1))
+    assert made.phi == phi_from_coframe(made.coframe)
+    assert counts["wedge"] > 0
+    assert made.to_json()["phi"] == made.phi.to_json()
+
+
+def test_decompose_is_shared_only_for_the_same_objects(monkeypatch):
+    counts = Counter()
+    _count_calls(monkeypatch, counts, structure_module, "gram_schmidt_sq")
+    L, other = N7_3_C, catalog.get("n7_3_B").algebra
+    g = Metric.diagonal([1, 2, 3, 4, 5, 6, 7])
+    D = decompose(L, g)
+    assert decompose(L, g) is D
+    assert counts["gram_schmidt_sq"] == 1
+    equal_rows = decompose(L, Metric(g.rows))
+    assert equal_rows is not D and equal_rows.basis == D.basis
+    assert counts["gram_schmidt_sq"] == 2
+    on_other = decompose(other, g)
+    assert on_other is not D and on_other.L is other
+    assert counts["gram_schmidt_sq"] == 3

@@ -358,14 +358,37 @@ def test_exact_inverse_matches_the_cofactor_formula():
             continue
         swaps += a[0][0] == 0
         negative += det < 0
-        assert Mode.EXACT.inverse(a) == (adj, det)
+        assert Mode.EXACT.inverse(a) == (adj, det, det)
     assert swaps and negative and singular
     # a zero leading pivot and a negative determinant, by hand
-    assert Mode.EXACT.inverse(((0, 1), (1, 0))) == (((0, -1), (-1, 0)), -1)
+    assert Mode.EXACT.inverse(((0, 1), (1, 0))) == (((0, -1), (-1, 0)), -1, -1)
     assert Mode.EXACT.inverse(((0, 2, 0), (0, 0, 3), (1, 0, 0))) == (
-        ((0, 0, 6), (3, 0, 0), (0, 2, 0)), 6)
+        ((0, 0, 6), (3, 0, 0), (0, 2, 0)), 6, 6)
     with pytest.raises(ZeroDivisionError):
         Mode.EXACT.inverse(((1, 2), (2, 4)))
+
+
+def test_float_inverse_gives_the_determinant():
+    """Float Mode.inverse is (a^-1, 1, det a), det a the signed product of the
+    elimination's pivots: the Laplace determinant to rounding, row swaps and
+    sign included."""
+    rng = random.Random(SEED + 37)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        a = tuple(tuple(rng.choice([0.0, rng.uniform(-3.0, 3.0)]) for _ in range(n))
+                  for _ in range(n))
+        ref = mat_det(a)
+        if not ref:
+            continue
+        inv, d, det = Mode.FLOAT.inverse(a)
+        assert d == 1
+        assert np.allclose(np.array(inv) @ np.array(a), np.eye(n), atol=1e-9)
+        # Hadamard's bound on |det a| sets the scale of the rounding
+        bound = math.prod(math.hypot(*row) for row in a)
+        assert abs(det - ref) <= 1e-12 * bound
+    _inv, _d, det = Mode.FLOAT.inverse(((0.0, 2.0, 0.0), (0.0, 0.0, 3.0), (1.0, 0.0, 0.0)))
+    assert det == 6.0
+    assert Mode.FLOAT.inverse(((0.0, 1.0), (1.0, 0.0)))[2] == -1.0
 
 
 def test_close_is_relative():
