@@ -75,6 +75,7 @@ def _normalize(name: str) -> str:
 _COEFF_RE = re.compile(
     r"^\s*(?P<sign>[+-]?)\s*(?:(?P<num>\d+(?:/\d+)?|\d*\.\d+)\s*(?:\*\s*(?P<par>[A-Za-z_]\w*))?"
     r"|(?P<bare>[A-Za-z_]\w*))\s*$")
+_PLAIN_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
 
 
 def parse_coefficient(text, params: Mapping[str, object] | None = None,
@@ -88,6 +89,9 @@ def parse_coefficient(text, params: Mapping[str, object] | None = None,
         return mode.convert(Fraction(text))
     if isinstance(text, float):
         return text
+    if isinstance(text, str) and _PLAIN_RE.fullmatch(text):
+        # a plain integer or ratio, which Fraction reads as the grammar below does
+        return mode.convert(Fraction(text))
     m = _COEFF_RE.match(str(text))
     if not m:
         raise ValueError(f"cannot parse coefficient {text!r}")
@@ -995,8 +999,12 @@ def _regress_purely(e: CatalogEntry, tol, keep: Callable[[str], bool]) -> Iterab
 def _regress_nilsoliton(e: CatalogEntry, tol, keep: Callable[[str], bool]) -> Iterable[dict]:
     if e.nilsoliton_diag is None:
         return
-    L, g = e.algebra, e.nilsoliton_metric
+    L = e.algebra
     rid = f"nilsoliton:{e.name}:case{e.derived_dim}:ricci"
+    rid2 = f"nilsoliton:{e.name}:case{e.derived_dim}:purely"
+    if not (keep(rid) or keep(rid2)):
+        return
+    g = e.nilsoliton_metric
     if keep(rid):
         report = is_nilsoliton(L, g, tol)
         problems = []
@@ -1007,7 +1015,6 @@ def _regress_nilsoliton(e: CatalogEntry, tol, keep: Callable[[str], bool]) -> It
         yield _row(rid, e.name, "nilsoliton", not problems,
                    "; ".join(problems) or f"soliton constant {e.nilsoliton_constant}")
 
-    rid2 = f"nilsoliton:{e.name}:case{e.derived_dim}:purely"
     if keep(rid2):
         verdict = purely_coclosed_exists(L, g, tol).exists
         ok = verdict == e.nilsoliton_purely_coclosed
@@ -1026,7 +1033,7 @@ def _regress_family(fam: MetricFamily, tol, keep: Callable[[str], bool]) -> Iter
             continue
         problems = []
         g = fam.metric(**params)
-        closed_form = fam.purely_condition(**params)
+        closed_form = _FAMILY_CONDITIONS[fam.name](fam._values(params), g.mode)
         verdict = purely_coclosed_exists(L, g, tol).exists
         if closed_form != expected:
             problems.append(f"closed form gives {closed_form}, pinned {expected}")

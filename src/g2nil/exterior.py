@@ -12,12 +12,12 @@ Two scalar modes are supported and never mixed:
 `Mode` holds every exact/float difference of the package's arithmetic: its
 zero, the validation and conversion of scalars, division, real roots,
 clearing denominators, sums of quotients, the Gram-Schmidt step, matrix
-inversion and the JSON encoding of a scalar. Code elsewhere calls these
-members instead of branching on the mode. The exact members that take
-cleared integers (`quotient_sum`, `project_out`, `inverse`) return integers
-(`inverse` divides only where the quotient is exact), so a computation can
-run on integers and divide once at the end; their float branches are the
-plain float formulas.
+inversion, leading principal minors and the JSON encoding of a scalar. Code
+elsewhere calls these members instead of branching on the mode. The exact
+members that take cleared integers (`quotient_sum`, `project_out`, `inverse`,
+`leading_minors`) return integers (`inverse` and `leading_minors` divide
+only where the quotient is exact), so a computation can run on integers and
+divide once at the end; their float branches are the plain float formulas.
 
 Every verdict in the package goes through one of two rules defined here:
 `Mode.equal` for two scalars and `KForm.is_zero` for a form. Exact mode never
@@ -31,6 +31,7 @@ complementary minors of g's integer matrix (Jacobi's theorem) without inverting 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from enum import Enum
 from fractions import Fraction
@@ -181,6 +182,30 @@ class Mode(Enum):
             prev = pk
         det = sign * prev
         return tuple(tuple(sign * x for x in row[n:]) for row in rows), det, det
+
+    def leading_minors(self, a):
+        """The leading principal minors det a[:k, :k], k = 1..n, of a square
+        matrix, one per step of fraction-free Gaussian elimination without row
+        swaps (Bareiss 1968), as a generator: a caller that stops at a minor
+        runs no further step.
+
+        The k-th pivot p_k is the k-th minor, and the step after it replaces
+        each later row i by (p_k row_i - a_ik row_k) / p_(k-1), with p_0 = 1.
+        The division is exact on integers (exact mode) and a float division in
+        float mode, where the minors of a metric scaled by t scale by t^k.
+        Past a zero minor, the next one is still read; the step after it
+        divides by the zero and raises ZeroDivisionError.
+        """
+        div = operator.floordiv if self is Mode.EXACT else operator.truediv
+        rows = [list(row) for row in a]
+        prev = 1
+        for k, row_k in enumerate(rows):
+            pk, tail = row_k[k], row_k[k + 1:]
+            yield pk
+            for row in rows[k + 1:]:
+                f = row[k]
+                row[k + 1:] = [div(pk * x - f * y, prev) for x, y in zip(row[k + 1:], tail)]
+            prev = pk
 
     def encode(self, x):
         """A scalar for JSON: the exact value as a string, or a float."""

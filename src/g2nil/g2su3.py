@@ -264,14 +264,15 @@ class G2Structure:
             det = 0
         if not det:
             raise DegenerateError("coframe is degenerate")
-        # g = N^T N / den^2, each entry above the diagonal computed once
+        # g = N^T N / den^2, each entry above the diagonal computed once;
+        # symmetric by construction and positive definite as det N != 0
         cols = transpose(N)
         gram = [[None] * 7 for _ in range(7)]
         for i in range(7):
             for j in range(i, 7):
-                x = dot(cols[i], cols[j])
-                gram[i][j] = gram[j][i] = x if den == 1 else mode.div(x, den * den)
-        return cls(None, Metric(gram, mode), det if den == 1 else mode.div(det, den ** 7),
+                gram[i][j] = gram[j][i] = dot(cols[i], cols[j])
+        metric = Metric._from_cleared(tuple(map(tuple, gram)), den * den, mode)
+        return cls(None, metric, det if den == 1 else mode.div(det, den ** 7),
                    None, _Coframe(tuple(coframe), N, den, adj, d))
 
     @property

@@ -15,6 +15,7 @@ Ricci formula in the basis e on cleared metric and structure constants;
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -25,7 +26,7 @@ import numpy as np
 
 from ._linalg import (Mat, Vec, dot, mat_mul, mat_vec, nullspace, row_space_basis, rref,
                       transpose)
-from .exterior import (DegenerateError, G2nilError, KForm, MetricContext, Mode, ModeMismatchError,
+from .exterior import (G2nilError, KForm, MetricContext, Mode, ModeMismatchError,
                        _indices_from_mask, _merge_sign)
 
 __all__ = [
@@ -288,27 +289,58 @@ def _differential(d_terms: Sequence, d_den, form: KForm) -> KForm:
 
 
 class Metric:
-    """Inner product on the algebra, as the Gram matrix of the vector basis."""
+    """Inner product on the algebra, as the Gram matrix of the vector basis.
+
+    Each entry is converted once (`Mode.convert`: a Fraction or a float, kept
+    in `rows`) and the matrix is cleared once (`Mode.cleared`): g = G / den,
+    with G an integer matrix over the lcm den of the denominators in exact
+    mode, and G = g, den = 1 in float mode. The symmetry check runs on G, and
+    every later reader (`cleared`, `is_positive_definite`) reads the kept
+    (den, G).
+    """
 
     def __init__(self, data, mode: Mode | None = None):
         if mode is None:
             mode = Mode.FLOAT if _has_float(data) else Mode.EXACT
-        self.mode = mode
-        self._scalar = mode.convert
-        self.rows: Mat = tuple(tuple(map(self._scalar, row)) for row in data)
-        self.dim = len(self.rows)
-        if any(len(r) != self.dim for r in self.rows):
+        rows = tuple(tuple(map(mode.convert, row)) for row in data)
+        n = len(rows)
+        if any(len(r) != n for r in rows):
             raise ValueError("metric must be square")
-        for i in range(self.dim):
-            for j in range(i):
-                if self.rows[i][j] != self.rows[j][i]:
-                    raise ValueError("metric must be symmetric")
-        self._zero = self._scalar(0)
-        # (j, g_ij) for the nonzero entries of each row; the rows are immutable
-        self._nonzero = tuple(tuple((j, gij) for j, gij in enumerate(row) if gij)
-                              for row in self.rows)
+        entries, den = mode.cleared([x for row in rows for x in row])
+        G = tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
+        if any(G[i][j] != G[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("metric must be symmetric")
+        self._keep(mode, rows, den, G)
+
+    @classmethod
+    def _from_cleared(cls, G: Mat, den, mode: Mode) -> "Metric":
+        """The metric G / den for a matrix G over the scalars of `Mode.cleared`
+        (integers with den > 0 in exact mode, floats with den = 1 in float
+        mode) that is symmetric by construction, as g = N^T N / den^2 in
+        `G2Structure.from_coframe`: nothing is converted or checked again.
+        G / den is reduced to lowest terms, so `cleared` gives what
+        `Metric(G / den)` would."""
+        if den != 1:
+            c = math.gcd(den, *(x for row in G for x in row))
+            if c > 1:
+                G, den = tuple(tuple(x // c for x in row) for row in G), den // c
+        n = len(G)
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = mode.div(G[i][j], den)
+        metric = cls.__new__(cls)
+        metric._keep(mode, tuple(map(tuple, rows)), den, G)
+        return metric
+
+    def _keep(self, mode: Mode, rows: Mat, den, G: Mat) -> None:
+        self.mode = mode
+        self.rows = rows
+        self.dim = len(rows)
+        self._den, self._G = den, G
+        self._nonzero = None  # `inner`'s sparse rows, built on first use
+        self._ip: Callable | None = None
         self._ctx: MetricContext | None = None
-        self._G: tuple[Callable, object, Mat] | None = None
 
     @classmethod
     def identity(cls, dim: int, mode: Mode = Mode.EXACT) -> "Metric":
@@ -332,39 +364,34 @@ class Metric:
         One loop for both modes: an exact metric gives a Fraction, a float
         metric a float.
         """
-        return _bilinear(self._nonzero, self._zero, x, y)
+        if self._nonzero is None:
+            self._nonzero = _sparse_rows(self.rows)
+        return _bilinear(self._nonzero, self.mode.convert(0), x, y)
 
     def cleared(self) -> tuple[Callable, object, Mat]:
         """(ip, den, G) with g = G / den and ip(x, y) = G(x, y), summed like `inner`.
 
         Exact mode: G is g's integer matrix over the lcm den of its
         denominators, so integer vectors give an integer. Float mode: G = g,
-        den = 1, and ip is `inner`. Built once per metric.
+        den = 1, and ip sums like `inner`. (den, G) is kept from construction.
         """
-        if self._G is None:
-            entries, den = self.mode.cleared([x for row in self.rows for x in row])
-            n = self.dim
-            G = tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
-            rows = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in G)
-            self._G = partial(_bilinear, rows, self.mode.zero), den, G
-        return self._G
+        if self._ip is None:
+            self._ip = partial(_bilinear, _sparse_rows(self._G), self.mode.zero)
+        return self._ip, self._den, self._G
 
     def norm_sq(self, x: Sequence):
         return self.inner(x, x)
 
     def as_vector(self, x: Sequence) -> tuple:
         """x with entries in this metric's scalar type (Fraction or float)."""
-        return tuple(map(self._scalar, x))
+        return tuple(map(self.mode.convert, x))
 
     def is_positive_definite(self) -> bool:
-        """Sylvester's criterion on the trailing principal minors D[{k..n}, {k..n}],
-        which expanding det D left in the context's table (d > 0 keeps g's signs)."""
-        try:
-            minor = self.ctx._minors
-        except DegenerateError:
-            return False
-        full = (1 << self.dim) - 1
-        return all(minor(m, m) > 0 for m in (full >> k << k for k in range(self.dim)))
+        """Sylvester's criterion: every leading principal minor of G = den g is
+        > 0 (den > 0 keeps g's signs). The minors come from one fraction-free
+        elimination of G (`Mode.leading_minors`), which stops at the first
+        one <= 0."""
+        return all(m > 0 for m in self.mode.leading_minors(self._G))
 
     def to_float(self) -> "Metric":
         if self.mode is Mode.FLOAT:
@@ -384,6 +411,11 @@ class Metric:
 
 def _has_float(data) -> bool:
     return any(isinstance(x, float) for row in data for x in row)
+
+
+def _sparse_rows(a: Mat) -> tuple:
+    """(j, a_ij) for the nonzero entries of each row of a, as `_bilinear` reads them."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in a)
 
 
 def _nonzero(v: Sequence) -> list:

@@ -12,7 +12,7 @@ import pytest
 
 from g2nil import catalog
 from g2nil.catalog import UnknownAlgebraError, parse_coefficient
-from g2nil.exterior import Mode
+from g2nil.exterior import MetricContext, Mode
 from g2nil.liealg import Metric, is_nilsoliton
 from g2nil.structure import coclosed_always, purely_coclosed_exists
 
@@ -103,6 +103,42 @@ def test_parse_coefficient():
         parse_coefficient("x + y")
     with pytest.raises(ValueError):
         parse_coefficient("a")  # parameter without a value
+
+
+_PARAMS = {"a": Fraction(3), "b": Fraction(2, 3), "c": Fraction(4)}
+
+# (text, exact value, float value): the value or exception type that the
+# grammar-only parser gave, with _PARAMS substituted. A text that names a
+# parameter raises ValueError when no value is given.
+_PARSER_CASES = [
+    ("1.5", 1.5, 1.5),
+    ("2.0", Fraction(2), 2.0),
+    ("1e3", ValueError, ValueError),
+    (" -3/2 ", Fraction(-3, 2), -1.5),
+    ("+0", Fraction(0), 0.0),
+    ("-0", Fraction(0), 0.0),
+    ("-4/6", Fraction(-2, 3), -2 / 3),
+    ("1_0", ValueError, ValueError),  # Fraction("1_0") would read 10
+    ("3/0", ZeroDivisionError, ZeroDivisionError),
+    ("a", Fraction(3), 3.0),
+    ("-b", Fraction(-2, 3), -2 / 3),
+    ("1/2*c", Fraction(2), 2.0),
+    ("0.5*a", 1.5, 1.5),
+]
+
+
+@pytest.mark.parametrize("text, exact, floated", _PARSER_CASES)
+def test_parse_coefficient_keeps_its_values_and_errors(text, exact, floated):
+    needs_param = any(ch.isalpha() for ch in text)
+    for mode, want in ((Mode.EXACT, exact), (Mode.FLOAT, floated)):
+        for params in (None, _PARAMS):
+            if isinstance(want, type) or (needs_param and params is None):
+                with pytest.raises(want if isinstance(want, type) else ValueError):
+                    parse_coefficient(text, params, mode)
+                continue
+            got = parse_coefficient(text, params, mode)
+            assert got == want and type(got) is type(want), (text, mode, params)
+            assert got < 0 or math.copysign(1, got) == 1  # no -0.0
 
 
 def test_families():
@@ -326,6 +362,48 @@ def test_filter_skips_unselected_checks(monkeypatch):
     assert rows and all("case1" in r["id"] for r in rows)
     assert cases.get(1, 0) > 0
     assert set(cases) == {1}
+
+
+def test_a_regression_pass_reads_each_family_metric_once(monkeypatch):
+    """A family row builds its sample metric once (the closed form reads the
+    same one), and no positive-definiteness test builds a MetricContext."""
+    built, inits, in_pd, contexts_in_pd = {}, [0], [0], [0]
+    family_metric, metric_init = catalog.MetricFamily.metric, Metric.__init__
+    pd, context_init = Metric.is_positive_definite, MetricContext.__init__
+
+    def counting_family_metric(self, **params):
+        key = (self.name, tuple(sorted(params.items())))
+        built[key] = built.get(key, 0) + 1
+        return family_metric(self, **params)
+
+    def counting_init(self, *args, **kwargs):
+        inits[0] += 1
+        metric_init(self, *args, **kwargs)
+
+    def counting_pd(self):
+        in_pd[0] += 1
+        try:
+            return pd(self)
+        finally:
+            in_pd[0] -= 1
+
+    def counting_context(self, *args, **kwargs):
+        contexts_in_pd[0] += in_pd[0] > 0
+        context_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(catalog.MetricFamily, "metric", counting_family_metric)
+    monkeypatch.setattr(Metric, "__init__", counting_init)
+    monkeypatch.setattr(Metric, "is_positive_definite", counting_pd)
+    monkeypatch.setattr(MetricContext, "__init__", counting_context)
+
+    rows = catalog.run_regression(filter="family:")
+    samples = [(f.name, tuple(sorted(p.items()))) for f in catalog.families() for p, _ in f.samples]
+    assert len(rows) == len(samples) == len(built)
+    assert all(built[key] == 1 for key in samples)
+    assert inits[0] == len(samples)
+
+    assert all(r["passed"] for r in catalog.run_regression())
+    assert contexts_in_pd[0] == 0
 
 
 def test_export_round_trips_through_json():

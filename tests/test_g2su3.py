@@ -151,6 +151,45 @@ def test_coframe_route_matches_the_phi_round_trip():
             assert _rel_gap(*pair) <= 1e-12
 
 
+def _catalog_coframes():
+    """Every pinned coframe: the pure-coframe fixtures and each sample of the
+    family-coframe fixtures."""
+    out = []
+    for name in catalog.fixture_names():
+        fx = catalog.load_fixture(name)
+        if fx["kind"] == "pure_coframe":
+            out.append(catalog.coframe_from_fixture(fx))
+        elif fx["kind"] == "family_coframe":
+            for sample in fx["samples"]:
+                params = dict(zip(fx["params"], map(Fraction, sample["values"])))
+                out.append(catalog.coframe_from_fixture(fx, params))
+    return out
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_coframe_metric_is_the_metric_of_its_gram_matrix(mode):
+    """from_coframe builds g = C^T C without the checks of Metric(...); it must
+    still be the metric Metric(C^T C) builds: the same rows and scalar types,
+    JSON and cleared (den, G)."""
+    coframes = _catalog_coframes() + _cross_check_coframes()
+    assert len(coframes) > 40
+    for cof in coframes:
+        if mode is Mode.FLOAT:
+            cof = [f.to_float() for f in cof]
+        C = _rows(cof)
+        ref = Metric([[sum(C[k][i] * C[k][j] for k in range(7)) for j in range(7)]
+                      for i in range(7)], mode)
+        got = G2Structure.from_coframe(cof).metric
+        assert got.mode is ref.mode is mode
+        assert got.rows == ref.rows
+        assert [type(x) for r in got.rows for x in r] == [type(x) for r in ref.rows for x in r]
+        assert got.to_json() == ref.to_json()
+        _ip, den, G = got.cleared()
+        assert (den, G) == ref.cleared()[1:]
+        assert [type(x) for r in G for x in r] == [type(x) for r in ref.cleared()[2] for x in r]
+        assert got.is_positive_definite()
+
+
 @pytest.mark.parametrize("mode", list(Mode))
 def test_singular_coframe_is_degenerate_in_both_modes(mode):
     rows = [[int(i == j) for j in range(7)] for i in range(7)]
