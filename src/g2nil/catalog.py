@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .exterior import G2nilError, KForm, Mode, form_inner
 from .g2su3 import G2Structure, torsion_class
-from .liealg import LieAlgebra, Metric, is_nilsoliton
+from .liealg import LieAlgebra, Metric, _diagonal, is_nilsoliton
 from .structure import (
     coclosed_always,
     coclosed_exists,
@@ -75,7 +75,7 @@ def _normalize(name: str) -> str:
 _COEFF_RE = re.compile(
     r"^\s*(?P<sign>[+-]?)\s*(?:(?P<num>\d+(?:/\d+)?|\d*\.\d+)\s*(?:\*\s*(?P<par>[A-Za-z_]\w*))?"
     r"|(?P<bare>[A-Za-z_]\w*))\s*$")
-_PLAIN_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
+_PLAIN_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def parse_coefficient(text, params: Mapping[str, object] | None = None,
@@ -89,9 +89,11 @@ def parse_coefficient(text, params: Mapping[str, object] | None = None,
         return mode.convert(Fraction(text))
     if isinstance(text, float):
         return text
-    if isinstance(text, str) and _PLAIN_RE.fullmatch(text):
-        # a plain integer or ratio, which Fraction reads as the grammar below does
-        return mode.convert(Fraction(text))
+    plain = _PLAIN_RE.fullmatch(text) if isinstance(text, str) else None
+    if plain:
+        # a plain integer or ratio, read as the grammar below reads it
+        num, den = plain.groups()
+        return mode.convert(int(num) if den is None else Fraction(int(num), int(den)))
     m = _COEFF_RE.match(str(text))
     if not m:
         raise ValueError(f"cannot parse coefficient {text!r}")
@@ -191,9 +193,7 @@ class MetricFamily:
 
 
 def _diag_rows(entries) -> list[list]:
-    zero = Fraction(0)
-    n = len(entries)
-    return [[entries[i] if i == j else zero for j in range(n)] for i in range(n)]
+    return [[*row] for row in _diagonal(entries, Fraction(0))]
 
 
 def _heis3_rows(v):
@@ -767,9 +767,7 @@ def _frac_matrix(rows) -> list[list[Fraction]]:
 
 def _metric_from_fixture(data: Mapping) -> Metric:
     spec = data["metric"]
-    if "diag" in spec:
-        return Metric.diagonal([Fraction(x) for x in spec["diag"]])
-    return Metric(_frac_matrix(spec["rows"]))
+    return Metric.diagonal(spec["diag"]) if "diag" in spec else Metric(spec["rows"])
 
 
 def _row(rid: str, algebra: str, check: str, passed: bool, detail: str) -> dict:
@@ -818,7 +816,7 @@ def _check_pure_coframe(fx: dict, tol, keep: Callable[[str], bool]) -> Iterable[
 
     if scale_sq == 1:
         struct = G2Structure.from_coframe(coframe)
-        if _frac_matrix(struct.metric.rows) != _frac_matrix(g.rows):
+        if struct.metric.rows != g.rows:
             problems.append("induced metric differs from pinned metric")
         report = torsion_class(L, struct, tol)
         if not report.coclosed:
@@ -883,16 +881,15 @@ def _check_family_coframe(fx: dict, tol, keep: Callable[[str], bool]) -> Iterabl
         yield _row(rid, entry.name, "family_coframe", not problems, detail)
 
 
+_FIXTURE_CHECKS = {"obstruction": _check_obstruction, "pure_coframe": _check_pure_coframe,
+                   "family_coframe": _check_family_coframe}
+
+
 def _fixture_rows(name: str, tol, keep: Callable[[str], bool]) -> Iterable[dict]:
     fx = load_fixture(name)
-    kind = fx.get("kind")
-    if kind == "obstruction":
-        return _check_obstruction(fx, tol, keep)
-    if kind == "pure_coframe":
-        return _check_pure_coframe(fx, tol, keep)
-    if kind == "family_coframe":
-        return _check_family_coframe(fx, tol, keep)
-    raise ValueError(f"fixture {name!r} has unknown kind {kind!r}")
+    if fx.get("kind") not in _FIXTURE_CHECKS:
+        raise ValueError(f"fixture {name!r} has unknown kind {fx.get('kind')!r}")
+    return _FIXTURE_CHECKS[fx["kind"]](fx, tol, keep)
 
 
 def check_fixture(name: str, tol: float | None = None) -> tuple[dict, ...]:
@@ -985,10 +982,7 @@ def _regress_purely(e: CatalogEntry, tol, keep: Callable[[str], bool]) -> Iterab
         fam = e.metric_family
         if fam is not None:
             probes.extend(fam.metric(**p) for p, _ in fam.samples)
-        hits = []
-        for k, g in enumerate(probes):
-            if purely_coclosed_exists(L, g, tol).exists:
-                hits.append(k)
+        hits = [k for k, g in enumerate(probes) if purely_coclosed_exists(L, g, tol).exists]
         if hits:
             problems.append(f"probe metrics {hits} unexpectedly admit")
         detail = "; ".join(problems) or \
@@ -1056,17 +1050,10 @@ def run_regression(filter: str | None = None, tol: float | None = None) -> tuple
     def keep(rid: str) -> bool:
         return needle in rid.lower()
 
-    rows: list[dict] = []
-    for e in _ENTRIES:
-        rows.extend(_regress_algebra(e, tol, keep))
-    for e in _ENTRIES:
-        rows.extend(_regress_purely(e, tol, keep))
-    for e in _ENTRIES:
-        rows.extend(_regress_nilsoliton(e, tol, keep))
-    for fam in _FAMILIES:
-        rows.extend(_regress_family(fam, tol, keep))
-    for fname in fixture_names():
-        rows.extend(_fixture_rows(fname, tol, keep))
+    rows = [row for check in (_regress_algebra, _regress_purely, _regress_nilsoliton)
+            for e in _ENTRIES for row in check(e, tol, keep)]
+    rows += [row for fam in _FAMILIES for row in _regress_family(fam, tol, keep)]
+    rows += [row for name in fixture_names() for row in _fixture_rows(name, tol, keep)]
     return tuple(rows)
 
 

@@ -37,7 +37,7 @@ from .exterior import DegenerateError, KForm, Mode, resolve_tolerance
 from .g2su3 import G2Structure, TorsionReport, torsion_class
 from .liealg import LieAlgebra, Metric
 from .structure import (CriterionReport, MetricDecomposition, _polar, decompose,
-                        selfdual_exists, symmetrize_M)
+                        purely_coclosed_exists, selfdual_exists, symmetrize_M)
 
 __all__ = ["Construction", "construct", "construct_case1", "construct_selfdual"]
 
@@ -277,14 +277,17 @@ def construct_selfdual(D: MetricDecomposition, report: CriterionReport | None = 
 
 def construct(L: LieAlgebra, g: Metric, kind: str = "purely",
               tol: float | None = None) -> Construction:
-    """Produce a verified adapted coframe of the requested torsion class."""
+    """Produce a verified adapted coframe of the requested torsion class; in
+    cases 2 and 3 a purely coclosed one realises the verdict and orientation
+    of `purely_coclosed_exists` in g's own mode."""
     if kind not in ("purely", "coclosed"):
         raise ValueError("kind must be 'purely' or 'coclosed'")
+    purely = kind == "purely"
     gf = g.to_float()
     D = decompose(L, gf)
-    purely = kind == "purely"
     if D.derived_dim == 1:
         coframe = construct_case1(D, purely=purely, tol=tol)
     else:
-        coframe = construct_selfdual(D, purely=purely, tol=tol)
+        report = purely_coclosed_exists(L, g, tol) if purely else None
+        coframe = construct_selfdual(D, report, purely=purely, tol=tol)
     return _finish(L, gf, coframe, D.derived_dim, kind, tol)

@@ -11,13 +11,13 @@ Two scalar modes are supported and never mixed:
 
 `Mode` holds every exact/float difference of the package's arithmetic: its
 zero, the validation and conversion of scalars, division, real roots,
-clearing denominators, sums of quotients, the Gram-Schmidt step, matrix
-inversion, leading principal minors and the JSON encoding of a scalar. Code
-elsewhere calls these members instead of branching on the mode. The exact
-members that take cleared integers (`quotient_sum`, `project_out`, `inverse`,
-`leading_minors`) return integers (`inverse` and `leading_minors` divide
-only where the quotient is exact), so a computation can run on integers and
-divide once at the end; their float branches are the plain float formulas.
+clearing denominators, reciprocals, the Gram-Schmidt step, matrix inversion,
+leading principal minors and the JSON encoding of a scalar. Code elsewhere
+calls these members instead of branching on the mode. The exact members that
+take cleared integers (`reciprocals`, `project_out`, `inverse`,
+`leading_minors`) return integers, dividing only where the quotient is exact,
+so a computation can run on integers and divide once at the end; their float
+branches are the plain float formulas.
 
 Every verdict in the package goes through one of two rules defined here:
 `Mode.equal` for two scalars and `KForm.is_zero` for a form. Exact mode never
@@ -121,15 +121,15 @@ class Mode(Enum):
         d = math.lcm(*(x.denominator for x in values))
         return [x.numerator * (d // x.denominator) for x in values], d
 
-    def quotient_sum(self, terms) -> tuple:
-        """(n, d) with n / d = sum(a / b for a, b in terms), b > 0: in exact mode
-        integers over the lcm of the b (integer terms, nothing divides); in float
-        mode the sum term by term and d = 1."""
+    def reciprocals(self, values, common=None) -> tuple[list, object]:
+        """(w, d) with w_i / d = 1 / values_i: in exact mode the integer
+        cofactors common // v_i of a common multiple of the integers v_i (their
+        product unless the caller names one), in float mode 1 / v_i and d = 1,
+        so no product of the values forms."""
         if self is Mode.FLOAT:
-            return sum(a / b for a, b in terms), 1
-        terms = list(terms)
-        d = math.lcm(*(b for _, b in terms))
-        return sum(a * (d // b) for a, b in terms), d
+            return [1 / v for v in values], 1
+        common = common or math.prod(values)
+        return [common // v for v in values], common
 
     def project_out(self, w, u, wu, uu) -> list:
         """The Gram-Schmidt step: w without its component along u, given

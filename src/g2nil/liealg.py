@@ -344,13 +344,18 @@ class Metric:
 
     @classmethod
     def identity(cls, dim: int, mode: Mode = Mode.EXACT) -> "Metric":
-        return cls([[int(i == j) for j in range(dim)] for i in range(dim)], mode)
+        return cls.diagonal([1] * dim, mode)
 
     @classmethod
     def diagonal(cls, entries, mode: Mode | None = None) -> "Metric":
-        entries = list(entries)
-        n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)], mode)
+        """diag(entries), built directly with one shared zero off the diagonal."""
+        values = list(entries)
+        mode = mode or (Mode.FLOAT if _has_float([values]) else Mode.EXACT)
+        values = [mode.convert(x) for x in values]
+        nums, den = mode.cleared(values)
+        metric = cls.__new__(cls)
+        metric._keep(mode, _diagonal(values, mode.convert(0)), den, _diagonal(nums, mode.zero))
+        return metric
 
     @property
     def ctx(self) -> MetricContext:
@@ -413,6 +418,11 @@ def _has_float(data) -> bool:
     return any(isinstance(x, float) for row in data for x in row)
 
 
+def _diagonal(values: Sequence, zero) -> Mat:
+    return tuple(tuple(x if i == j else zero for j in range(len(values)))
+                 for i, x in enumerate(values))
+
+
 def _sparse_rows(a: Mat) -> tuple:
     """(j, a_ij) for the nonzero entries of each row of a, as `_bilinear` reads them."""
     return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in a)
@@ -439,37 +449,25 @@ def _bilinear(rows, zero, x: Sequence, y: Sequence):
     return total
 
 
-def _jmap(L: LieAlgebra, ip: Callable, z: Sequence, basis: Sequence[Sequence],
-          mode: Mode) -> tuple:
-    """(E, d) with E / d the matrix of j(z) on span(basis), for vectors and
-    inner product over cleared scalars (`Metric.cleared`): with G the cleared
-    metric, G(j(z) x, y) = G(z, s[x, y]), s the structure denominator. Exact
-    mode keeps integers throughout (`Mode.inverse`); float mode is
-    mat_inv(gram) times the bracket matrix."""
-    m = len(basis)
-    gram = tuple(tuple(ip(u, w) for w in basis) for u in basis)
-    sparse = [_nonzero(w) for w in basis]
-    c = tuple(tuple(ip(z, L._bracket_num(sparse[j], sparse[i], mode)) for j in range(m))
-              for i in range(m))
-    adj, d, _det = mode.inverse(gram)
-    return mat_mul(adj, c), d
-
-
 def jz_matrix(L: LieAlgebra, g: Metric, z: Sequence, basis: Sequence[Sequence]) -> list[list]:
     """Matrix of the skew map j(z) on the span of `basis`.
 
     j(z) is defined by g(j(z) x, y) = g(z, [x, y]); columns are coordinates
-    with respect to `basis`, which must span a j(z)-invariant subspace. z and
-    the basis are cleared to numerators (z = z' / d_z, b_i = b_i' / d_i), and
-    `_jmap` gives E / d for them, so entry (i, j) is E_ij d_i / (d s d_z d_j),
-    one division.
+    with respect to `basis`, which must span a j(z)-invariant subspace. For
+    the numerators of z = z' / d_z and b_i = b_i' / d_i, E / d = gram^-1 c with
+    gram_ij = G(b_i', b_j') and c_ij = G(z', s[b_j', b_i']) (`Metric.cleared`,
+    `Mode.inverse`), so entry (i, j) is E_ij d_i / (d s d_z d_j), one division.
     """
-    mode = g.mode
+    mode, ip = g.mode, g.cleared()[0]
     (z, dz), *cleared = [mode.cleared([mode.convert(c) for c in v]) for v in (z, *basis)]
-    E, d = _jmap(L, g.cleared()[0], z, [v for v, _ in cleared], mode)
+    vectors, dens = zip(*cleared)
+    gram = tuple(tuple(ip(u, w) for w in vectors) for u in vectors)
+    sparse = [_nonzero(w) for w in vectors]
+    c = tuple(tuple(ip(z, L._bracket_num(wj, wi, mode)) for wj in sparse) for wi in sparse)
+    adj, d, _det = mode.inverse(gram)
     scale = d * L._structure(mode)[2] * dz
-    return [[mode.div(e * di, scale * dj) for e, (_, dj) in zip(row, cleared)]
-            for row, (_, di) in zip(E, cleared)]
+    return [[mode.div(e * di, scale * dj) for e, dj in zip(row, dens)]
+            for row, di in zip(mat_mul(adj, c), dens)]
 
 
 def _ricci(L: LieAlgebra, g: Metric) -> tuple:

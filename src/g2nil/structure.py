@@ -14,17 +14,18 @@ Exact mode decides on integers throughout. The metric is cleared once to
 G = den * g (`Metric.cleared`) and the structure constants to numerators over
 one denominator s (`LieAlgebra._structure`); Gram-Schmidt runs on integer
 vectors (`Mode.project_out`), which are positive multiples of the rational
-ones, and the criteria below are integer sums (`Mode.quotient_sum`,
-`Mode.inverse`). Both identities are homogeneous, so den, s and the vectors'
-scales leave each verdict alone and come out as one factor: lhs and rhs divide
-once, into the same Fractions the rational bases give. Float mode runs the
-same code with den = s = 1 and its own float steps, bit for bit the plain
-float formulas.
+ones, and each criterion below is an integer sum over a denominator it
+already knows (`Mode.reciprocals`). Both identities are homogeneous, so den,
+s and the vectors' scales leave each verdict alone and come out as one
+factor: lhs and rhs divide once, into the same Fractions the rational bases
+give. Float mode runs the same code with den = s = 1 and the reciprocals
+themselves in place of cofactors, the plain float formulas.
 
 Criteria, by dim n':
 
 * 1 — coclosed always; purely coclosed iff tr^2(A^2) = 4 tr(A^4) for
-  A = -j(z), z spanning n' (the condition is scale invariant).
+  A = -j(z), z spanning n' (scale invariant), j(z) = diag(q)^-1 c with c skew
+  on r's orthogonal basis: no Gram matrix is built or inverted.
 * 2 — coclosed iff a != 0; purely coclosed iff on the canonical oriented
   4-plane the self-dual parts of d(zeta_1), d(zeta_2) are orthogonal with
   equal norms for an orthonormal basis {zeta_i} of (n')*, for one of the two
@@ -34,7 +35,8 @@ Criteria, by dim n':
 
 The self-dual identity is evaluated entry by entry in both modes: with
 T = 1/Q, each x = K ± W*sqrt(T) gives tr S = sum x_ii / (2 p_i) and
-tr S^2 = sum x_ij x_ji / (4 p_i p_j), where sqrt(T) is rational or a float.
+tr S^2 = sum x_ij^2 / (4 p_i p_j), each symmetric pair once, over
+P = prod p_i in exact mode, where sqrt(T) is rational or a float.
 Entry by entry matters in float mode: when S± ≈ 0 the cancellation happens
 in each x_ij, so tr^2 S and 2 tr S^2 come out near 1e-32, while summing them
 first into x + y*sqrt(T) leaves rounding noise near 1e-15 from the separate
@@ -49,9 +51,11 @@ exact mode.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
@@ -59,7 +63,7 @@ import numpy as np
 from ._linalg import gram_schmidt_sq
 from .exterior import (DegenerateError, ExactnessError, KForm, Mode,
                        close, form_inner, resolve_tolerance)
-from .liealg import LieAlgebra, Metric, UnsupportedAlgebraError, _jmap, _nonzero
+from .liealg import LieAlgebra, Metric, UnsupportedAlgebraError, _nonzero
 
 __all__ = [
     "UnsupportedAlgebraError", "MetricDecomposition", "decompose",
@@ -242,19 +246,31 @@ class CriterionReport:
 
 
 def case1_exists(D: MetricDecomposition, tol: float | None = None) -> CriterionReport:
-    """Purely coclosed existence for dim n' = 1: tr^2(A^2) = 4 tr(A^4)."""
+    """Purely coclosed existence for dim n' = 1: tr^2(A^2) = 4 tr(A^4).
+
+    On r's G-orthogonal basis w_a, A = -j(z) for z = nprime[0] is similar to
+    -N / (R s own_0): N = diag(r) c for the skew c_ab = G(z, s[w_b, w_a]),
+    read for a < b only, and the `Mode.reciprocals` r / R of the norms q. Even
+    powers drop the sign: tr N^2 = sum_a r_a P_aa and tr N^4 =
+    sum_ab r_a r_b P_ab^2 for the symmetric P = c diag(r) c.
+    """
     if D.derived_dim != 1:
         raise UnsupportedAlgebraError("case 1 requires a 1-dimensional derived algebra")
-    mode = D.mode
-    E, d = _jmap(D.L, D.g.cleared()[0], D.basis[0], [D.basis[i] for i in D._r_index],
-                 mode)
-    m = len(E)
-    # A = -j(z) for z = nprime[0] is similar to -E / (d s own_0), so tr A^2 and
-    # tr A^4 are those of E over the 2nd and 4th power; even powers drop the sign
-    E2 = [[sum(E[i][k] * E[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
-    tr2 = sum(E2[i][i] for i in range(m))
-    tr4 = sum(sum(E2[i][k] * E2[k][i] for k in range(m)) for i in range(m))
-    unit = (d * D.L._structure(mode)[2] * D.own[0]) ** 4
+    mode, L, ip = D.mode, D.L, D.g.cleared()[0]
+    ws = [_nonzero(D.basis[i]) for i in D._r_index]
+    m = len(ws)
+    c = [[mode.zero] * m for _ in range(m)]
+    for a, b in combinations(range(m), 2):
+        c[a][b] = x = ip(D.basis[0], L._bracket_num(ws[b], ws[a], mode))
+        c[b][a] = -x
+    r, R = mode.reciprocals([D.norms[i] for i in D._r_index])
+    rc = [[rk * x for x in row] for rk, row in zip(r, c)]
+    P = {(a, b): sum(map(operator.mul, c[a], col)) for b, col in enumerate(zip(*rc))
+         for a in range(b + 1)}
+    tr2 = sum(r[a] * P[a, a] for a in range(m))
+    tr4 = sum((r[a] * x) ** 2 if a == b else 2 * r[a] * r[b] * x * x
+              for (a, b), x in P.items())
+    unit = (R * L._structure(mode)[2] * D.own[0]) ** 4
     lhs, rhs = mode.div(tr2 * tr2, unit), mode.div(4 * tr4, unit)
     exists = mode.equal(lhs, rhs, tol)
     witness = {"z": [str(c) for c in D.nprime[0]]} if exists else None
@@ -270,104 +286,101 @@ def case1_exists(D: MetricDecomposition, tol: float | None = None) -> CriterionR
 def _beta_coords(D: MetricDecomposition):
     """2-forms d(z_i^b) restricted to the canonical 4-plane, over cleared scalars.
 
-    Returns (p, K, W, Q) for the vectors z_i = D.basis[:k] of n' and w_a of
-    the plane in the cleared metric G (`MetricDecomposition`):
+    Returns (p, K, kd, W, Q) for the vectors z_i = D.basis[:k] of n' and w_a
+    of the plane in the cleared metric G (`MetricDecomposition`):
     p_i = G(z_i, z_i); B_i(a, b) = -G(z_i, s[w_a, w_b]);
-    K_ij = sum_ab B_i(a, b) B_j(a, b) / (q_a q_b) as (numerator, denominator)
-    from `Mode.quotient_sum`; W_ij = (B_i ∧ B_j)(w_1, w_2, w_3, w_4);
-    Q = q_1 q_2 q_3 q_4 with q_a = G(w_a, w_a). Integers in exact mode.
-    Positive multiples of the vectors leave the identity's verdict alone;
-    `_trace_identity` takes den and s back out.
+    K_ij / kd = sum_ab B_i(a, b) B_j(a, b) / (q_a q_b) over kd = Q in exact
+    mode (the weight of (a, b) is q_c q_d, (c, d) the complementary pair);
+    W_ij = (B_i ∧ B_j)(w_1, w_2, w_3, w_4); Q = q_1 q_2 q_3 q_4 with
+    q_a = G(w_a, w_a). K and W are computed once for each i <= j. Integers in
+    exact mode. Positive multiples of the vectors leave the identity's verdict
+    alone; `_trace_identity` takes den and s back out.
     """
-    L, mode = D.L, D.mode
-    ip = D.g.cleared()[0]
+    L, mode, ip = D.L, D.mode, D.g.cleared()[0]
     k = D.derived_dim
-    zs, p = D.basis[:k], D.norms[:k]
     ws = [_nonzero(D.basis[i]) for i in D._plane_index]
     q = [D.norms[i] for i in D._plane_index]
-    pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-    brackets = [L._bracket_num(ws[a], ws[b], mode) for a, b in pairs]
-    B = [{ab: -ip(z, w) for ab, w in zip(pairs, brackets)} for z in zs]
-    K = [[mode.quotient_sum((B[i][ab] * B[j][ab], q[ab[0]] * q[ab[1]]) for ab in pairs)
-          for j in range(k)] for i in range(k)]
-    # (beta_i ∧ beta_j)(w1, w2, w3, w4) over the six (2,2)-shuffles
-    W = [[B[i][(0, 1)] * B[j][(2, 3)] - B[i][(0, 2)] * B[j][(1, 3)]
-          + B[i][(0, 3)] * B[j][(1, 2)] + B[j][(0, 1)] * B[i][(2, 3)]
-          - B[j][(0, 2)] * B[i][(1, 3)] + B[j][(0, 3)] * B[i][(1, 2)]
-          for j in range(k)] for i in range(k)]
     Q = q[0] * q[1] * q[2] * q[3]
-    return p, K, W, Q
+    pairs = [*combinations(range(4), 2)]
+    brackets = [L._bracket_num(ws[a], ws[b], mode) for a, b in pairs]
+    B = [[-ip(z, w) for w in brackets] for z in D.basis[:k]]
+    weights, kd = mode.reciprocals([q[a] * q[b] for a, b in pairs], Q)
+    K, W = [[None] * k for _ in range(k)], [[None] * k for _ in range(k)]
+    for i, j in combinations_with_replacement(range(k), 2):
+        bi, bj = B[i], B[j]
+        K[i][j] = K[j][i] = sum(x * y * w for x, y, w in zip(bi, bj, weights))
+        # (beta_i ∧ beta_j)(w1, w2, w3, w4) over the six (2,2)-shuffles; pair e
+        # and pair 5 - e are complementary
+        W[i][j] = W[j][i] = (bi[0] * bj[5] - bi[1] * bj[4] + bi[2] * bj[3]
+                             + bj[0] * bi[5] - bj[1] * bi[4] + bj[2] * bi[3])
+    return D.norms[:k], K, kd, W, Q
 
 
-def _trace(p, x, mode: Mode):
-    """tr S = sum_i x_ii / (2 p_i), for x as (numerator, denominator) entries."""
-    return mode.quotient_sum((x[i][i][0], 2 * p[i] * x[i][i][1]) for i in range(len(p)))
+def _sym_pair_sum(x, y, w):
+    """sum_ij x_ij y_ij w_i w_j for symmetric x and y, each pair i < j once."""
+    return sum((w[i] * w[i] if i == j else 2 * w[i] * w[j]) * x[i][j] * y[i][j]
+               for i, j in combinations_with_replacement(range(len(w)), 2))
 
 
-def _trace_pair(p, x, y, mode: Mode):
-    """tr(S_x S_y) = sum_ij x_ij y_ji / (4 p_i p_j), likewise."""
-    k = len(p)
-    return mode.quotient_sum((x[i][j][0] * y[j][i][0], 4 * p[i] * p[j] * x[i][j][1] * y[j][i][1])
-                             for i in range(k) for j in range(k))
-
-
-def _trace_identity(p, K, W, root, unit, mode: Mode, tol):
+def _trace_identity(p, K, kd, W, root, unit, mode: Mode, tol):
     """Evaluate tr^2(S) ?= 2 tr(S^2) for both orientations.
 
-    p, K, W come from `_beta_coords` and root = sqrt(1/Q) is rational (or a
-    float); S_or = (den / s^2) (K + or W root) / (2 sqrt(p_i p_j)) with
-    unit = (den, s^2). Entry by entry, x = K + or W root is kept as
-    (numerator, denominator), the traces are `quotient_sum`s and lhs and rhs
-    divide once. Returns (exists, orientation, pairs) with pairs mapping
-    "+"/"-" to a (lhs, rhs) tuple.
+    p, K, kd, W come from `_beta_coords` and root = sqrt(1/Q) = rn / rd is
+    rational (or a float); S_or = (den / s^2) x / (2 sqrt(p_i p_j)) with
+    unit = (den, s^2), for x = K / kd + or W root. Entry by entry X = x kd rd;
+    over the `Mode.reciprocals` pi / P of p, tr S and tr S^2 are
+    sum X_ii pi_i and sum X_ij^2 pi_i pi_j, and lhs and rhs divide once.
+    Returns (exists, orientation, pairs) with pairs mapping "+"/"-" to a
+    (lhs, rhs) tuple.
     """
     (rn,), rd = mode.cleared([root])
+    pi, P = mode.reciprocals(p)
     un, ud = unit
+    scale = 4 * (ud * kd * rd * P) ** 2
     pairs, verdicts = {}, {}
     for orient, s in (("+", 1), ("-", -1)):
-        x = [[(kn * rd + s * w * rn * kd, kd * rd) for (kn, kd), w in zip(krow, wrow)]
+        X = [[kn * rd + s * w * rn * kd for kn, w in zip(krow, wrow)]
              for krow, wrow in zip(K, W)]
-        tr, trd = _trace(p, x, mode)
-        sq, sqd = _trace_pair(p, x, x, mode)
-        pairs[orient] = lhs, rhs = (mode.div(tr * tr * un * un, trd * trd * ud * ud),
-                                    mode.div(2 * sq * un * un, sqd * ud * ud))
+        tr = sum(X[i][i] * w for i, w in enumerate(pi))
+        pairs[orient] = lhs, rhs = (mode.div(tr * tr * un * un, scale),
+                                    mode.div(2 * _sym_pair_sum(X, X, pi) * un * un, scale))
         verdicts[orient] = mode.equal(lhs, rhs, tol)
     orient = "+" if verdicts["+"] else ("-" if verdicts["-"] else None)
     return orient is not None, orient, pairs
 
 
-def _irrational_identity(D: MetricDecomposition, p, K, W, Q, tol):
+def _irrational_identity(D: MetricDecomposition, p, K, kd, W, Q, tol):
     """`_trace_identity` for an exact metric with irrational sqrt(T), T = 1/Q.
 
     tr S = u (A + s B sqrt(T)) and tr S^2 = u^2 (C + s E sqrt(T)) with A, B,
     C, E rational and u = den / s^2: the identity holds iff A^2 + B^2 T = 2C
     and AB = E, the rational and radical parts separately, so the verdict does
-    not depend on the orientation (conjugation swaps S_+ and S_-). The lhs and
-    rhs are floats: the float path of `_trace_identity`, entry by entry, with
-    a float sqrt(T) and the public bases' p, K, W, Q, whose sizes floats hold.
+    not depend on the orientation (conjugation swaps S_+ and S_-). Both are
+    compared on integers, times 4 kd^2 P^2 Q and 4 kd P^2 (pi / P the
+    `Mode.reciprocals` of p). The lhs and rhs are floats: `_trace_identity`'s
+    float path with a float sqrt(T) on the public bases' p, K, W, Q.
     """
     mode = D.mode
-    T = mode.div(1, Q)
-    Wx = [[(w, 1) for w in row] for row in W]
-    A, B = (mode.div(*_trace(p, x, mode)) for x in (K, Wx))
-    C = mode.div(*_trace_pair(p, K, K, mode)) + T * mode.div(*_trace_pair(p, Wx, Wx, mode))
-    E = 2 * mode.div(*_trace_pair(p, K, Wx, mode))
-    exists = mode.equal(A * A + B * B * T, 2 * C, tol) and mode.equal(A * B, E, tol)
-    p, K, W, Q = _public_scale(D, K, W)
-    _, _, pairs = _trace_identity(p, [[(k, 1) for k in row] for row in K], W,
-                                  math.sqrt(1 / Q), (1, 1), Mode.FLOAT, tol)
+    pi, _P = mode.reciprocals(p)
+    a, b = (sum(x[i][i] * w for i, w in enumerate(pi)) for x in (K, W))
+    cK, cW, e = (_sym_pair_sum(x, y, pi) for x, y in ((K, K), (W, W), (K, W)))
+    exists = (mode.equal(a * a * Q + b * b * kd * kd, 2 * (cK * Q + cW * kd * kd), tol)
+              and mode.equal(a * b, 2 * e, tol))
+    p, K, W, Q = _public_scale(D)
+    _, _, pairs = _trace_identity(p, K, 1, W, math.sqrt(1 / Q), (1, 1), Mode.FLOAT, tol)
     return exists, "+" if exists else None, pairs
 
 
-def _public_scale(D: MetricDecomposition, K, W):
+def _public_scale(D: MetricDecomposition):
     """p, K, W, Q of `_beta_coords` for the public bases `zs` and `rtilde`:
-    K and W with den, s and the own scales divided out, one division per
+    K and W with kd, den, s and the own scales divided out, one division per
     entry."""
     mode = D.mode
+    _p, K, kd, W, _Q = D._beta
     s2 = D.L._structure(mode)[2] ** 2
     mu = D.own[:D.derived_dim]
     a, b, c, d = (D.own[i] for i in D._plane_index)
-    K = [[mode.div(kn, kd * s2 * mi * mj) for (kn, kd), mj in zip(row, mu)]
+    K = [[mode.div(kn, kd * s2 * mi * mj) for kn, mj in zip(row, mu)]
          for row, mi in zip(K, mu)]
     W = [[mode.div(w, D.den * D.den * s2 * mi * mj * a * b * c * d) for w, mj in zip(row, mu)]
          for row, mi in zip(W, mu)]
@@ -400,8 +413,7 @@ def sd_gram(D: MetricDecomposition, orientation: int = 1):
     if not D._plane_index:
         raise DegenerateError("no canonical 4-plane (abelian part is trivial)")
     mode = D.mode
-    _p, K, W, _Q = D._beta
-    p, K, W, Q = _public_scale(D, K, W)
+    p, K, W, Q = _public_scale(D)
     T = mode.div(1, Q)
     root_T = mode.root(T, 2)
 
@@ -440,13 +452,13 @@ def selfdual_exists(D: MetricDecomposition, tol: float | None = None) -> Criteri
                                 "reason": "no coclosed structures: center equals "
                                           "the derived algebra"}, D.mode)
     mode = D.mode
-    p, K, W, Q = D._beta
+    p, K, kd, W, Q = D._beta
     root = mode.root(mode.div(1, Q), 2)
     if root is None:
-        exists, orient, pairs = _irrational_identity(D, p, K, W, Q, tol)
+        exists, orient, pairs = _irrational_identity(D, p, K, kd, W, Q, tol)
     else:
         unit = (D.den, D.L._structure(mode)[2] ** 2)
-        exists, orient, pairs = _trace_identity(p, K, W, root, unit, mode, tol)
+        exists, orient, pairs = _trace_identity(p, K, kd, W, root, unit, mode, tol)
     witness = {"rtilde": [[D.mode.encode(x) for x in v] for v in D.rtilde],
                "orientation": orient} if exists else None
     return CriterionReport(case, "purely", exists, orient, witness,

@@ -57,6 +57,20 @@ def test_exists_family_metric_with_construct(capsys):
     assert payload["construction"]["torsion"]["purely_coclosed"] is True
 
 
+def test_exists_constructs_the_exact_verdict_of_a_scaled_witness(capsys, tmp_path):
+    # at 1e6 times n7_3_B1's witness the exact criterion says orientation "-";
+    # the construction must realise that verdict, not a float re-decision
+    rows = [[str(10**6 * x) for x in row] for row in catalog.get("n7_3_B1").witness_rows]
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps({"g": rows}))
+    code, out, err = run_cli(capsys, "exists", "n7_3_B1", "--metric", path, "--mode", "exact",
+                             "--construct", "--format", "json")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["orientation"] == "-"
+    assert payload["construction"]["torsion"]["purely_coclosed"] is True
+
+
 def test_exists_infeasible_family_point(capsys):
     code, out, _ = run_cli(capsys, "exists", "h7", "--metric", "r=1,s=1,t=1",
                            "--format", "json")

@@ -49,20 +49,17 @@ def test_construct_every_catalog_witness():
     assert built == 13
 
 
-_SCALES = (Fraction(1, 10**10), Fraction(1, 10**4), 1, 10**4, 10**10)
-_ORIENTATION_SWAMPED = pytest.mark.xfail(
-    strict=True, reason="float purely_coclosed_exists picks orientation '+' from lambda = 1e6 "
-    "on: the 1 in close()'s scale 1 + |lhs| + |rhs| swamps lhs 6.4e-11 against rhs 1.28e-10")
+_SCALES = (Fraction(1, 10**10), Fraction(1, 10**4), 1, 10**4, 10**6, 10**10)
 
 
 @pytest.mark.parametrize("name, lam", [
-    pytest.param(name, lam, id=f"{name}-{float(lam):g}",
-                 marks=_ORIENTATION_SWAMPED if (name, lam) == ("n7_3_B1", 10**10) else ())
+    pytest.param(name, lam, id=f"{name}-{float(lam):g}")
     for name in catalog.names() if catalog.get(name).witness_rows is not None
     for lam in _SCALES])
 def test_construct_scaled_witness(name, lam):
-    # every floor in construct is relative to its own input, so a homothety of
-    # a witness metric builds and verifies a coframe at any scale
+    # every floor in construct is relative to its own input, and the exact
+    # metric is decided exactly, so a homothety of a witness metric builds and
+    # verifies a coframe at any scale
     entry = catalog.get(name)
     g = Metric([[lam * x for x in row] for row in entry.witness_rows])
     result = construct(entry.algebra, g, kind="purely")

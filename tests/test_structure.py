@@ -2,6 +2,7 @@
 the three cases by derived dimension, self-dual Gram matrices, M-matrices and
 the orthogonal symmetrization."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,13 +14,12 @@ from hypothesis import strategies as st
 
 from g2nil import catalog
 from g2nil._linalg import gram_schmidt_sq, mat_inv, mat_mul, rref, transpose
-from g2nil.exterior import (DegenerateError, ExactnessError, KForm, ToleranceError,
+from g2nil.exterior import (DegenerateError, ExactnessError, KForm, Mode, ToleranceError,
                             form_inner)
 from g2nil.g2su3 import G2Structure, torsion_class
-from g2nil.liealg import LieAlgebra, Metric
+from g2nil.liealg import LieAlgebra, Metric, jz_matrix
 from g2nil.structure import (
     UnsupportedAlgebraError,
-    _beta_coords,
     _public_scale,
     case1_exists,
     coclosed_always,
@@ -304,8 +304,7 @@ def test_orientation_label_agrees_across_modes_and_automorphisms():
 
 def _sd_gram_in_floats(D, orient):
     """S evaluated in floats from the exact p, K, W and Q of the public bases."""
-    _p, K, W, _Q = _beta_coords(D)
-    p, K, W, Q = _public_scale(D, K, W)
+    p, K, W, Q = _public_scale(D)
     root = math.sqrt(1 / Q)
     return [[(float(K[i][j]) + orient * float(W[i][j]) * root) / (2 * math.sqrt(p[i] * p[j]))
              for j in range(len(p))] for i in range(len(p))]
@@ -547,6 +546,112 @@ def test_cleared_criteria_cover_both_roots_on_every_algebra():
         for _ in range(2):
             assert not _check_against_reference(L, _with_norms(L, squares, rng))
     assert irrational >= 10
+
+
+# -- the one-denominator sums against oracles on the public bases ---------------
+
+
+def _perm_sign(perm):
+    return math.prod(-1 if perm[i] > perm[j] else 1
+                     for i in range(len(perm)) for j in range(i + 1, len(perm)))
+
+
+def _case1_oracle(L, g, D):
+    """(tr^2(A^2), 4 tr(A^4)) for A = j(z) on the public complement basis,
+    from the public `jz_matrix`."""
+    A = jz_matrix(L, g, D.zs[0], D.complement)
+    A2 = mat_mul(A, A)
+    tr2 = sum(A2[i][i] for i in range(6))
+    return tr2 * tr2, 4 * sum(A2[i][j] * A2[j][i] for i in range(6) for j in range(6))
+
+
+def _selfdual_oracle(L, g, D):
+    """{"+": (tr^2 S, 2 tr S^2), "-": ...} in Fractions, or None when sqrt(Q) is
+    irrational. With zeta_i = z_i-flat / sqrt(p_i) for the public zs and the
+    orthogonal plane w = rtilde with squared norms q_a and Q = q_1 q_2 q_3 q_4,
+    2 sqrt(p_i p_j) S_ij = <b_i, b_j> + or (b_i ∧ b_j)(w_1, ..., w_4) / sqrt(Q),
+    b_i(w_a, w_b) = -g(z_i, [w_a, w_b]) and <b_i, b_j> summed over a < b with
+    weight 1 / (q_a q_b); the wedge is summed over all 24 permutations."""
+    zs, ws = D.zs, D.rtilde
+    p = [g.inner(z, z) for z in zs]
+    q = [g.inner(w, w) for w in ws]
+    Q = q[0] * q[1] * q[2] * q[3]
+    root = Fraction(math.isqrt(Q.numerator), math.isqrt(Q.denominator))
+    if root * root != Q:
+        return None
+    b = [[[-g.inner(z, L.bracket(wa, wb)) for wb in ws] for wa in ws] for z in zs]
+
+    def wedge(x, y):
+        return sum(_perm_sign(s) * x[s[0]][s[1]] * y[s[2]][s[3]]
+                   for s in itertools.permutations(range(4))) / 4
+
+    k, found = len(zs), {}
+    for orient, sign in (("+", 1), ("-", -1)):
+        y = [[sum(b[i][a][c] * b[j][a][c] / (q[a] * q[c])
+                  for a in range(4) for c in range(a + 1, 4))
+              + sign * wedge(b[i], b[j]) / root for j in range(k)] for i in range(k)]
+        tr = sum(y[i][i] / (2 * p[i]) for i in range(k))
+        tr_sq = sum(y[i][j] * y[j][i] / (4 * p[i] * p[j]) for i in range(k) for j in range(k))
+        found[orient] = (tr * tr, 2 * tr_sq)
+    return found
+
+
+@st.composite
+def _diagonal_or_sheared(draw, L):
+    """A rational metric for L: diagonal (of squares or not), or sheared by
+    `_with_norms` so that Gram-Schmidt gives square norms."""
+    diag = [Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 12))) for _ in range(7)]
+    if draw(st.booleans()):
+        diag = [d * d for d in diag]
+        if draw(st.booleans()):
+            return _with_norms(L, diag, draw(st.randoms(use_true_random=False)))
+    return Metric.diagonal(diag)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_one_denominator_sums_match_the_public_oracles(name, data):
+    L = catalog.get(name).algebra
+    g = data.draw(_diagonal_or_sheared(L))
+    D = decompose(L, g)
+    rep = purely_coclosed_exists(L, g)
+    floated = purely_coclosed_exists(L, g.to_float()).diagnostics
+    if D.derived_dim == 1:
+        assert (rep.diagnostics["lhs"], rep.diagnostics["rhs"]) == _case1_oracle(L, g, D)
+        keys = ("lhs", "rhs")
+    elif D.rtilde:
+        found = _selfdual_oracle(L, g, D)
+        if found is not None:
+            assert rep.diagnostics["plus"] == list(found["+"])
+            assert rep.diagnostics["minus"] == list(found["-"])
+        keys = ("plus", "minus")
+    else:
+        return  # dim n' = 2 without an abelian part: no identity
+    exact = [x for key in keys for x in np.ravel(rep.diagnostics[key])]
+    approx = [x for key in keys for x in np.ravel(floated[key])]
+    scale = max(abs(x) for x in exact)
+    assert all(abs(a - float(e)) <= 1e-9 * scale for a, e in zip(approx, exact)), (exact, approx)
+
+
+def test_case1_criterion_inverts_no_matrix(monkeypatch):
+    calls = []
+    inverse = Mode.inverse
+
+    def counted(self, a):
+        calls.append(len(a))
+        return inverse(self, a)
+
+    monkeypatch.setattr(Mode, "inverse", counted)
+    for name in ("h7", "h5_R2", "h3_R4"):
+        L = catalog.get(name).algebra
+        for g in (Metric.diagonal(range(1, 8)), rand_spd(random.Random(SEED))):
+            for h in (g, g.to_float()):
+                assert case1_exists(decompose(L, h)).diagnostics["lhs"] is not None
+    assert calls == []
+    D = decompose(H7, Metric.identity(7))
+    jz_matrix(H7, D.g, D.zs[0], D.complement)
+    assert calls == [6]
 
 
 _HOMOTHETIES = (1, 10**4, 10**8, Fraction(1, 10**8))
