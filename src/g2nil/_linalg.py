@@ -21,9 +21,9 @@ integer adjugate and determinant, by fraction-free Gauss-Jordan elimination)
 are the integer steps; the classical `project_out` and `mat_inv_det` are
 the float ones.
 
-`dot` and `mat_vec` skip zero factors: the vectors and matrices met here
-(basis vectors, diagonal metrics, structure constants) are mostly zeros, and
-a product with a zero Fraction costs as much as any other.
+`dot`, `mat_vec` and `mat_mul` skip zero factors: the vectors and matrices
+met here (basis vectors, diagonal metrics, structure constants) are mostly
+zeros, and a product with a zero Fraction costs as much as any other.
 """
 from __future__ import annotations
 
@@ -53,8 +53,17 @@ def transpose(a: Mat) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    """a b, row i as the sum of a_ij b_j over nonzero entries, summed as `dot` sums."""
+    sparse = [[(c, y) for c, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [type(row[0])(0) if row else 0] * (len(b[0]) if b else 0)
+        for x, terms in zip(row, sparse):
+            if x:
+                for c, y in terms:
+                    acc[c] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_vec(a: Mat, v: Sequence) -> Vec:

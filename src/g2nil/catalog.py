@@ -27,7 +27,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -966,7 +966,17 @@ def _regress_algebra(e: CatalogEntry, tol, keep: Callable[[str], bool]) -> Itera
     yield _row(rid, e.name, "algebra", not problems, detail)
 
 
-def _regress_purely(e: CatalogEntry, tol, keep: Callable[[str], bool]) -> Iterable[dict]:
+def _decided_sample(fam: MetricFamily, params: dict, tol, decided: dict) -> tuple:
+    """(metric, purely verdict) of a family sample, kept in the pass's memo *decided*."""
+    key = (fam.name, tuple(params.items()))
+    if key not in decided:
+        g = fam.metric(**params)
+        decided[key] = g, purely_coclosed_exists(get(fam.algebra).algebra, g, tol).exists
+    return decided[key]
+
+
+def _regress_purely(e: CatalogEntry, tol, keep: Callable[[str], bool],
+                    decided: dict) -> Iterable[dict]:
     rid = f"exists:{e.name}:case{e.derived_dim}:purely"
     if not keep(rid):
         return
@@ -979,14 +989,15 @@ def _regress_purely(e: CatalogEntry, tol, keep: Callable[[str], bool]) -> Iterab
         detail = "; ".join(problems) or "witness metric admits a purely coclosed coframe"
     else:
         probes = [Metric.diagonal([Fraction(x) for x in d]) for d in _PROBE_DIAGS]
+        verdicts = [purely_coclosed_exists(L, g, tol).exists for g in probes]
         fam = e.metric_family
         if fam is not None:
-            probes.extend(fam.metric(**p) for p, _ in fam.samples)
-        hits = [k for k, g in enumerate(probes) if purely_coclosed_exists(L, g, tol).exists]
+            verdicts += [_decided_sample(fam, p, tol, decided)[1] for p, _ in fam.samples]
+        hits = [k for k, admits in enumerate(verdicts) if admits]
         if hits:
             problems.append(f"probe metrics {hits} unexpectedly admit")
         detail = "; ".join(problems) or \
-            f"all {len(probes)} probe metrics rejected, as pinned"
+            f"all {len(verdicts)} probe metrics rejected, as pinned"
     yield _row(rid, e.name, "purely_exists", not problems, detail)
 
 
@@ -1017,18 +1028,17 @@ def _regress_nilsoliton(e: CatalogEntry, tol, keep: Callable[[str], bool]) -> It
                                           f" != pinned {e.nilsoliton_purely_coclosed}"))
 
 
-def _regress_family(fam: MetricFamily, tol, keep: Callable[[str], bool]) -> Iterable[dict]:
+def _regress_family(fam: MetricFamily, tol, keep: Callable[[str], bool],
+                    decided: dict) -> Iterable[dict]:
     entry = get(fam.algebra)
-    L = entry.algebra
     for params, expected in fam.samples:
         rid = (f"family:{fam.algebra}:case{entry.derived_dim}:{fam.name}["
                + ",".join(f"{k}={v}" for k, v in params.items()) + "]")
         if not keep(rid):
             continue
         problems = []
-        g = fam.metric(**params)
+        g, verdict = _decided_sample(fam, params, tol, decided)
         closed_form = _FAMILY_CONDITIONS[fam.name](fam._values(params), g.mode)
-        verdict = purely_coclosed_exists(L, g, tol).exists
         if closed_form != expected:
             problems.append(f"closed form gives {closed_form}, pinned {expected}")
         if verdict != expected:
@@ -1050,9 +1060,10 @@ def run_regression(filter: str | None = None, tol: float | None = None) -> tuple
     def keep(rid: str) -> bool:
         return needle in rid.lower()
 
-    rows = [row for check in (_regress_algebra, _regress_purely, _regress_nilsoliton)
-            for e in _ENTRIES for row in check(e, tol, keep)]
-    rows += [row for fam in _FAMILIES for row in _regress_family(fam, tol, keep)]
+    decided: dict = {}  # `_decided_sample`'s memo for this pass
+    checks = (_regress_algebra, partial(_regress_purely, decided=decided), _regress_nilsoliton)
+    rows = [row for check in checks for e in _ENTRIES for row in check(e, tol, keep)]
+    rows += [row for fam in _FAMILIES for row in _regress_family(fam, tol, keep, decided)]
     rows += [row for name in fixture_names() for row in _fixture_rows(name, tol, keep)]
     return tuple(rows)
 

@@ -19,15 +19,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._linalg import (Mat, Vec, dot, mat_mul, mat_vec, nullspace, row_space_basis, rref,
-                      transpose)
+from ._linalg import Mat, Vec, mat_mul, nullspace, row_space_basis, rref, transpose
 from .exterior import (G2nilError, KForm, MetricContext, Mode, ModeMismatchError,
-                       _indices_from_mask, _merge_sign)
+                       _indices_from_mask)
 
 __all__ = [
     "LieAlgebra", "Metric", "jz_matrix", "ricci_operator", "NilsolitonReport", "is_nilsoliton",
@@ -192,26 +191,24 @@ class LieAlgebra:
     # -- distinguished subspaces ---------------------------------------------
 
     def derived_basis(self) -> tuple[Vec, ...]:
-        """Basis of [g, g]; computed once per algebra."""
+        """Basis of [g, g], read off the bracket table; computed once per algebra."""
         if self._derived is None:
-            rows = []
-            for i in range(1, self.dim + 1):
-                for j in range(i + 1, self.dim + 1):
-                    w = self.bracket_basis(i, j)
-                    if any(w):
-                        rows.append(w)
-            self._derived = tuple(row_space_basis(tuple(rows))) if rows else ()
+            brackets = self._structure(Mode.EXACT)[1]
+            rows = tuple(self.bracket_basis(i, j) for (i, j), col in brackets.items()
+                         if i < j and col)
+            self._derived = tuple(row_space_basis(rows)) if rows else ()
         return self._derived
 
     def center_basis(self) -> tuple[Vec, ...]:
-        """Basis of the center; computed once per algebra."""
+        """Basis of the center, the null space of the rows ([f_a, f_b]^k)_a over
+        (b, k), read off the bracket table; computed once per algebra."""
         if self._center is None:
-            rows = []
-            for b in range(1, self.dim + 1):
-                for k in range(self.dim):
-                    row = [self.bracket_basis(a, b)[k] for a in range(1, self.dim + 1)]
-                    if any(row):
-                        rows.append(tuple(row))
+            _d_terms, brackets, s = self._structure(Mode.EXACT)
+            zero, table = Fraction(0), {}
+            for (a, b), col in brackets.items():
+                for k, c in col:
+                    table.setdefault((b, k), [zero] * self.dim)[a - 1] = Fraction(c, s)
+            rows = [tuple(table[key]) for key in sorted(table)]
             if rows:
                 self._center = tuple(nullspace(tuple(rows)))
             else:
@@ -238,12 +235,14 @@ class LieAlgebra:
         return starts
 
     def is_two_step(self) -> bool:
-        """Nonabelian with [g, [g, g]] = 0, i.e. derived algebra is central."""
+        """Nonabelian with [[f_i, f_j], f_b] = 0, on the bracket table's numerators."""
         if self._two_step is None:
-            derived = self.derived_basis()
-            self._two_step = bool(derived) and not any(
-                any(self.bracket(w, tuple(Fraction(int(i == b)) for i in range(self.dim))))
-                for w in derived for b in range(self.dim))
+            brackets = self._structure(Mode.EXACT)[1]
+            words = [[(k + 1, c) for k, c in col] for (i, j), col in brackets.items()
+                     if i < j and col]
+            self._two_step = bool(words) and not any(
+                any(self._bracket_num(w, [(b, 1)], Mode.EXACT))
+                for w in words for b in range(1, self.dim + 1))
         return self._two_step
 
     def d_squared_is_zero(self) -> bool:
@@ -480,6 +479,11 @@ def _ricci(L: LieAlgebra, g: Metric) -> tuple:
     in exact mode, 1 in float mode), c_k = C_k / s (`LieAlgebra._structure`),
     P_k = C_k H and T'_kl = -tr(P_k P_l) (the C_k are skew):
     Rc = den H (G T' G + 2 d sum_kl G_kl P_k C_l) / (4 d^3 s^2).
+
+    Only the nonzero terms (a, b, C_k[a][b]) of the bracket table are read: row
+    a of P_k sums C_k[a][b] H[b], T'_kl runs over the nonzero rows of P_k and
+    P_l, and each term of C_l adds P_k[a][b] G_kl C_l[b][f] to entry (a, f).
+    The products by G and H are zero-skipping row combinations (`mat_mul`).
     """
     if not L.is_two_step():
         raise UnsupportedAlgebraError("the Ricci formula needs a 2-step nilpotent algebra")
@@ -487,18 +491,22 @@ def _ricci(L: LieAlgebra, g: Metric) -> tuple:
     _ip, den, G = g.cleared()
     H, d, _det = mode.inverse(G)
     _d_terms, brackets, s = L._structure(mode)
-    C: dict[int, list[list]] = {}
+    C: dict[int, list] = {}  # the nonzero terms (a, b, C_k[a][b]), 0-based
     for (a, b), col in brackets.items():
         for k, c in col:
-            C.setdefault(k, [[0] * n for _ in range(n)])[a - 1][b - 1] = c
-    P = {k: mat_mul(Ck, H) for k, Ck in C.items()}
-    T = [[-sum(map(dot, P[k], transpose(P[l]))) if k in P and l in P else 0 for l in range(n)]
-         for k in range(n)]
-    # sum_kl G_kl P_k C_l as the row (P_k)_k times the column (sum_l G_kl C_l)_k
-    PC = mat_mul([sum((P[k][a] for k in P), ()) for a in range(n)],
-                 [[sum(G[k][l] * C[l][a][b] for l in C) for b in range(n)]
-                  for k in P for a in range(n)])
-    X = [[x + 2 * d * y for x, y in zip(*rows)] for rows in zip(mat_mul(mat_mul(G, T), G), PC)]
+            C.setdefault(k, []).append((a - 1, b - 1, c))
+    P: dict[int, dict] = {k: {} for k in C}  # the nonzero rows a of P_k = C_k H
+    for k, terms in C.items():
+        for a, b, c in terms:
+            P[k][a] = [x + c * h for x, h in zip(P[k].get(a, [0] * n), H[b])]
+    T = [[-sum(P[k][a][b] * P[l][b][a] for a in P[k] for b in P[l]) if k in P and l in P
+          else 0 for l in range(n)] for k in range(n)]
+    X = [list(row) for row in mat_mul(mat_mul(G, T), G)]
+    for k, l in product(C, repeat=2):
+        for b, f, c in C[l] if G[k][l] else ():
+            gc = 2 * d * G[k][l] * c
+            for a, row in P[k].items():
+                X[a][f] += row[b] * gc
     return tuple(tuple(den * x for x in row) for row in mat_mul(H, X)), 4 * d ** 3 * s * s
 
 
@@ -538,21 +546,32 @@ def is_nilsoliton(L: LieAlgebra, g: Metric, tol: float | None = None) -> Nilsoli
     (tr R, the scalar curvature times q, is negative). The residual is the
     scale-free defect max |N[x, y] - [N x, y] - [x, N y]| / (max |N| max |C|)
     over basis pairs, C the structure numerators of `LieAlgebra._structure`:
-    zero exactly, or within the tolerance. Like `ricci_operator`, raises
-    UnsupportedAlgebraError unless L is 2-step.
+    zero exactly, or within the tolerance. Each pair's defect is summed from
+    the bracket columns. Like `ricci_operator`, raises UnsupportedAlgebraError
+    unless L is 2-step.
     """
     R, q = _ricci(L, g)
     mode, n = g.mode, L.dim
+    brackets = L._structure(mode)[1]
     tr1 = sum(R[i][i] for i in range(n))
-    tr2 = sum(map(dot, R, transpose(R)))
+    tr2 = sum(R[i][j] * R[j][i] for i in range(n) for j in range(n))
     N = [[tr1 * x - tr2 * (i == j) for j, x in enumerate(row)] for i, row in enumerate(R)]
-    cols = [_nonzero(col) for col in zip(*N)]  # N e_a, like e[a]: (1-based index, scalar)
-    e = [[(a, 1)] for a in range(1, n + 1)]
-    worst = max(abs(u - v - w) for a, b in combinations(range(n), 2) for u, v, w in zip(
-        mat_vec(N, L._bracket_num(e[a], e[b], mode)), L._bracket_num(cols[a], e[b], mode),
-        L._bracket_num(e[a], cols[b], mode)))
+    cols = [_nonzero(col) for col in zip(*N)]  # the nonzero (1-based i, N_ik) of N e_k
+    worst = 0
+    for a, b in combinations(range(1, n + 1), 2):
+        # s (N[e_a, e_b] - [N e_a, e_b] - [e_a, N e_b]), summed from the bracket columns
+        defect = [0] * n
+        for k, c in brackets[(a, b)]:
+            for i, x in cols[k]:
+                defect[i - 1] += c * x
+        # [N e_a, e_b] + [e_a, N e_b], with N e_a = sum x e_i and N e_b = sum x e_j
+        terms = [((i, b), x) for i, x in cols[a - 1]] + [((a, j), x) for j, x in cols[b - 1]]
+        for pair, x in terms:
+            for k, c in brackets[pair]:
+                defect[k] -= x * c
+        worst = max(worst, *map(abs, defect))
     scale = max(abs(x) for row in N for x in row) * max(
-        abs(c) for col in L._structure(mode)[1].values() for _k, c in col)
+        abs(c) for col in brackets.values() for _k, c in col)
     residual = mode.div(worst, scale)
     return NilsolitonReport(mode.equal(residual, 0, tol, 1.0), mode.div(tr2, q * tr1),
                             float(residual), mode)

@@ -365,16 +365,26 @@ def test_filter_skips_unselected_checks(monkeypatch):
 
 
 def test_a_regression_pass_reads_each_family_metric_once(monkeypatch):
-    """A family row builds its sample metric once (the closed form reads the
-    same one), and no positive-definiteness test builds a MetricContext."""
-    built, inits, in_pd, contexts_in_pd = {}, [0], [0], [0]
+    """A pass builds and decides each family sample metric once, although the
+    family rows and the `h3_R4` probes both read the `heis3` samples (the
+    closed form reads the same metric), and no positive-definiteness test
+    builds a MetricContext. A filtered pass computes only the rows it keeps."""
+    built, decided, inits, in_pd, contexts_in_pd = {}, {}, [0], [0], [0]
     family_metric, metric_init = catalog.MetricFamily.metric, Metric.__init__
     pd, context_init = Metric.is_positive_definite, MetricContext.__init__
+    criterion = catalog.purely_coclosed_exists
 
     def counting_family_metric(self, **params):
         key = (self.name, tuple(sorted(params.items())))
         built[key] = built.get(key, 0) + 1
-        return family_metric(self, **params)
+        g = family_metric(self, **params)
+        decided[id(g)] = [key, 0, g]
+        return g
+
+    def counting_criterion(L, g, tol=None):
+        if id(g) in decided:
+            decided[id(g)][1] += 1
+        return criterion(L, g, tol)
 
     def counting_init(self, *args, **kwargs):
         inits[0] += 1
@@ -392,6 +402,7 @@ def test_a_regression_pass_reads_each_family_metric_once(monkeypatch):
         context_init(self, *args, **kwargs)
 
     monkeypatch.setattr(catalog.MetricFamily, "metric", counting_family_metric)
+    monkeypatch.setattr(catalog, "purely_coclosed_exists", counting_criterion)
     monkeypatch.setattr(Metric, "__init__", counting_init)
     monkeypatch.setattr(Metric, "is_positive_definite", counting_pd)
     monkeypatch.setattr(MetricContext, "__init__", counting_context)
@@ -402,7 +413,13 @@ def test_a_regression_pass_reads_each_family_metric_once(monkeypatch):
     assert all(built[key] == 1 for key in samples)
     assert inits[0] == len(samples)
 
-    assert all(r["passed"] for r in catalog.run_regression())
+    built.clear()
+    decided.clear()
+    rows = catalog.run_regression()
+    assert all(r["passed"] for r in rows)
+    assert "all 7 probe metrics rejected, as pinned" in {r["detail"] for r in rows}
+    assert sorted(built) == sorted(samples) and all(n == 1 for n in built.values())
+    assert sorted(key for key, n, _g in decided.values() if n == 1) == sorted(samples)
     assert contexts_in_pd[0] == 0
 
 

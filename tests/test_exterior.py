@@ -592,11 +592,12 @@ def test_leading_minors_come_from_one_elimination(mode):
 
 
 # `MetricContext` in float mode reads g's minor table with D = g, so its
-# accuracy falls with cond(g) faster than the oracle test above allows. Both
+# accuracy falls with cond(g) faster than the oracle test above allows. All
 # upper-triangular a below (g = a^T a) were found by that test. For the first
 # (cond 9.8e4) the float G[1, 1] misses the exact one by 2.1 times its
-# allowance; for the second (cond 5.0e3, under the test's 1e4 knee, so the
-# allowance is the flat 1e-10) G[2, 2] misses by 3.1 times.
+# allowance; for the other three (cond 5.0e3, 6.5e3 and 1.6e3, under the
+# test's 1e4 knee, so the allowance is the flat 1e-10) G[2, 2] misses by 3.1
+# times and G[3, 3] by 2.1 and 1.45 times.
 _ILL_CONDITIONED = [
     [1, -3, 2, -1, Fraction(-1, 3), 3, Fraction(-2, 3)],
     [0, Fraction(2, 3), 1, 3, 1, 0, 0],
@@ -615,11 +616,30 @@ _MODERATELY_CONDITIONED = [
     [0, 0, 0, 0, 0, Fraction(1, 3), 0],
     [0, 0, 0, 0, 0, 0, 1],
 ]
+_SHEARED_HALVES = [
+    [1, 1, 0, 2, 0, 0, 0],
+    [0, 1, 0, 0, 0, 2, 0],
+    [0, 0, -2, 0, 3, 0, 0],
+    [0, 0, 0, Fraction(1, 2), 0, 0, 0],
+    [0, 0, 0, 0, Fraction(1, 2), 0, 2],
+    [0, 0, 0, 0, 0, Fraction(1, 3), 0],
+    [0, 0, 0, 0, 0, 0, Fraction(1, 3)],
+]
+_SHEARED_THIRDS = [
+    [1, 0, 0, 3, 0, 0, 0],
+    [0, 1, 0, 0, 0, 2, 0],
+    [0, 0, 3, 0, 3, 0, 0],
+    [0, 0, 0, Fraction(1, 2), 0, 0, 0],
+    [0, 0, 0, 0, 1, 0, 2],
+    [0, 0, 0, 0, 0, Fraction(1, 3), 0],
+    [0, 0, 0, 0, 0, 0, Fraction(1, 3)],
+]
 
 
 @pytest.mark.xfail(strict=True, reason="float minor table misses by more than the oracle test allows")
-@pytest.mark.parametrize("a, i", [(_ILL_CONDITIONED, 1), (_MODERATELY_CONDITIONED, 2)],
-                         ids=["cond9.8e4", "cond5.0e3"])
+@pytest.mark.parametrize("a, i", [(_ILL_CONDITIONED, 1), (_MODERATELY_CONDITIONED, 2),
+                                  (_SHEARED_HALVES, 3), (_SHEARED_THIRDS, 3)],
+                         ids=["cond9.8e4", "cond5.0e3", "cond6.5e3", "cond1.6e3"])
 def test_float_gram_minor_on_an_ill_conditioned_metric(a, i):
     g = _congruence([[Fraction(x) for x in row] for row in a])
     gf = [[float(x) for x in row] for row in g]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2nil import catalog
-from g2nil._linalg import gram_schmidt_sq, mat_inv, mat_mul, mat_vec
+from g2nil._linalg import gram_schmidt_sq, mat_inv, mat_mul, mat_vec, nullspace, row_space_basis
 from g2nil.exterior import KForm, Mode, ModeMismatchError
 from g2nil.liealg import (
     LieAlgebra,
@@ -424,6 +424,22 @@ def test_exact_nilsoliton_residual_matches_float():
     assert abs(exact.residual - floated.residual) <= 1e-12 * floated.residual
 
 
+@pytest.mark.parametrize("derived", [1, 2, 3])
+def test_nilsoliton_defect_matches_the_oracle_on_random_algebras(derived):
+    # dense rational metrics on random 2-step algebras with dim n' = 1, 2, 3:
+    # the defect summed from the bracket table against `_oracle_nilsoliton`
+    rng = random.Random(SEED + 10 + derived)
+    for _ in range(4):
+        L = rand_two_step(rng, derived=derived)
+        g = rand_spd(rng, 7)
+        c, residual = _oracle_nilsoliton(L, g)
+        exact, floated = is_nilsoliton(L, g), is_nilsoliton(L, g.to_float())
+        assert exact.soliton_constant == c
+        assert exact.residual == float(residual)
+        assert floated.is_nilsoliton == exact.is_nilsoliton
+        assert abs(floated.soliton_constant - c) <= 1e-12 * abs(c)
+
+
 def test_nilsoliton_float_residual_is_scale_free():
     # float mode judges the defect against max |N| max |C|, not an absolute 1,
     # so a homothety leaves the residual and the verdict alone
@@ -458,6 +474,21 @@ def test_nilsoliton_float_mode():
     rep = is_nilsoliton(H7, Metric.identity(7).to_float())
     assert rep.is_nilsoliton
     assert abs(float(rep.soliton_constant) + 2.5) < 1e-9
+
+
+def test_center_and_derived_bases_read_the_bracket_table():
+    # the bases read off the bracket table equal those built from the
+    # bracket_basis vectors, entry for entry and type for type
+    for entry in map(catalog.get, catalog.names()):
+        L = LieAlgebra.from_structure(entry.name, entry.structure)
+        n = range(1, L.dim + 1)
+        words = [L.bracket_basis(i, j) for i, j in combinations(n, 2)]
+        derived = tuple(row_space_basis(tuple(w for w in words if any(w))))
+        rows = [tuple(L.bracket_basis(a, b)[k] for a in n) for b in n for k in range(L.dim)]
+        center = tuple(nullspace(tuple(r for r in rows if any(r))))
+        for got, want in ((L.derived_basis(), derived), (L.center_basis(), center)):
+            assert got == want, entry.name
+            assert all(type(x) is Fraction for v in got for x in v), entry.name
 
 
 def test_metric_validation():
