@@ -21,7 +21,7 @@ integer adjugate and determinant, by fraction-free Gauss-Jordan elimination)
 are the integer steps; the classical `project_out` and `mat_inv_det` are
 the float ones.
 
-`dot`, `mat_vec` and `mat_mul` skip zero factors: the vectors and matrices
+`dot` and `mat_mul` skip zero factors: the vectors and matrices
 met here (basis vectors, diagonal metrics, structure constants) are mostly
 zeros, and a product with a zero Fraction costs as much as any other.
 """
@@ -64,10 +64,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
                     acc[c] += x * y
         out.append(tuple(acc))
     return tuple(out)
-
-
-def mat_vec(a: Mat, v: Sequence) -> Vec:
-    return tuple(dot(row, v) for row in a)
 
 
 def dot(u: Sequence, v: Sequence):

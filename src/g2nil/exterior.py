@@ -156,32 +156,50 @@ class Mode(Enum):
         a_ik row_k) / p_(k-1), where p_k is the k-th pivot and p_(-1) = 1; each
         such division is exact. At the end [a | I] has become [p I | p a^-1]
         with p = ±det a, the sign that of the row swaps taken at zero pivots.
+
+        A row with a_ik = 0 would only be rescaled by p_k / p_(k-1), so it is
+        left alone instead: each row keeps the pivot p_l of the last step that
+        changed it (its level), and stands for row * p_(k-1) / p_l at step k.
+        A row with a_ik != 0 becomes (p_k row_i - a_ik row_k) / p_l; the pivot
+        row is brought to level p_(k-1) when it is chosen, and every row to
+        the last pivot at the end. Each division is still exact, and the
+        result is that of the rescaling elimination.
         """
         if self is Mode.FLOAT:
             inv, det = mat_inv_det(a)
             return inv, 1, det
         n = len(a)
-        rows = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)]
+        rows = [list(row) + [0] * n for row in a]
+        for i, row in enumerate(rows):
+            row[n + i] = 1
+        levels = [1] * n
         sign, prev = 1, 1
+
+        def lifted(values, last):
+            """Entries of a row at level `last`, brought to level `prev`."""
+            return values if last == prev else [x * prev // last for x in values]
+
         for k in range(n):
             if not rows[k][k]:
                 swap = next((r for r in range(k + 1, n) if rows[r][k]), None)
                 if swap is None:
                     raise ZeroDivisionError("singular matrix")
                 rows[k], rows[swap] = rows[swap], rows[k]
+                levels[k], levels[swap] = levels[swap], levels[k]
                 sign = -sign
-            pk, row_k = rows[k][k], rows[k][k + 1:]
-            # columns <= k are never read again (they hold p_k or 0), and a row
-            # with a_ik = 0 is only rescaled by p_k / p_(k-1)
-            for row in rows[:k] + rows[k + 1:]:
+            # columns < k are never read again (they hold a pivot or 0)
+            pk, *row_k = lifted(rows[k][k:], levels[k])
+            for i, row in enumerate(rows):
                 f = row[k]
-                if f:
-                    row[k + 1:] = [(pk * x - f * y) // prev for x, y in zip(row[k + 1:], row_k)]
-                elif pk != prev:
-                    row[k + 1:] = [pk * x // prev for x in row[k + 1:]]
+                if f and i != k:
+                    last = levels[i]
+                    row[k + 1:] = [(pk * x - f * y) // last for x, y in zip(row[k + 1:], row_k)]
+                    levels[i] = pk
+            rows[k][k + 1:], levels[k] = row_k, pk
             prev = pk
         det = sign * prev
-        return tuple(tuple(sign * x for x in row[n:]) for row in rows), det, det
+        return tuple(tuple(sign * x for x in lifted(row[n:], last))
+                     for row, last in zip(rows, levels)), det, det
 
     def leading_minors(self, a):
         """The leading principal minors det a[:k, :k], k = 1..n, of a square

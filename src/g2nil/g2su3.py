@@ -20,14 +20,19 @@ the 4-form is *phi_0 = (1/2) omega ∧ omega + psi_- ∧ theta^7 with
 psi_- = theta^136 + theta^145 + theta^235 - theta^246 (Bryant 2005).
 
 A `G2Structure` is held as its forms in a frame: theta for `from_coframe`,
-the basis e for `from_phi`. Torsion: the structure is coclosed iff d(*phi) = 0
-and purely coclosed iff in addition dphi ∧ phi = 0; the scalar torsion is
-tau0 = (1/7) * (dphi ∧ phi). `torsion_class` writes the algebra's structure
-constants in the frame once (for theta = C e, through C^-1 from `Mode.inverse`)
-and applies d to the frame forms only, so in the frame theta it differentiates
-the 7-term forms phi_0 and *phi_0, and tau0 is the theta^{1..7} coefficient of
-dphi_0 ∧ phi_0 over 7. phi and *phi in the basis e are pulled back only when
-read.
+the basis e for `from_phi`. `from_coframe` reads the coframe once, into one
+matrix N over one denominator (theta = C e, C = N / den, N an integer matrix
+in exact mode): g = N^T N / den^2 sums N's nonzero entries, and C^-1 comes
+from N's adjugate and determinant (`Mode.inverse`). Torsion: the structure is
+coclosed iff d(*phi) = 0 and purely coclosed iff in addition dphi ∧ phi = 0;
+the scalar torsion is tau0 = (1/7) * (dphi ∧ phi). `torsion_class` writes the
+algebra's structure constants in the frame once and applies d to the frame
+forms only, so in the frame theta it differentiates the 7-term forms phi_0
+and *phi_0, and tau0 is the theta^{1..7} coefficient of dphi_0 ∧ phi_0 over 7.
+Both differentials stay numerators over one denominator (integers in exact
+mode): the verdicts and the sum behind tau0 are taken on them, and only the
+reported values are divided. phi and *phi in the basis e are pulled back only
+when read.
 """
 from __future__ import annotations
 
@@ -35,10 +40,10 @@ from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple, Sequence
 
-from ._linalg import dot, mat_det, transpose
+from ._linalg import dot, mat_det
 from .exterior import (DegenerateError, ExactnessError, KForm, Mode, ModeMismatchError,
-                       _indices_from_mask, _merge_sign, hodge, top_wedge_coeff)
-from .liealg import LieAlgebra, Metric, _differential
+                       _indices_from_mask, _merge_sign, hodge)
+from .liealg import LieAlgebra, Metric, _differential_num
 
 __all__ = [
     "G2_PATTERN", "phi_standard", "starphi_standard", "phi_from_coframe",
@@ -72,9 +77,9 @@ def _model_forms(mode: Mode) -> tuple[KForm, KForm, int]:
     return phi_standard(mode), starphi_standard(mode), 1
 
 
-def _cleared_coframe(coframe: Sequence[KForm]) -> tuple[list[KForm], int]:
-    """(N, den) with theta^i = N^i / den: integer forms over one denominator in
-    exact mode, the forms themselves and den = 1 in float mode."""
+def _coframe_mode(coframe: Sequence[KForm]) -> Mode:
+    """The mode of seven 1-forms in dimension 7; ValueError or ModeMismatchError
+    for anything else."""
     if len(coframe) != 7:
         raise ValueError("a coframe consists of seven 1-forms")
     mode = coframe[0].mode
@@ -83,6 +88,27 @@ def _cleared_coframe(coframe: Sequence[KForm]) -> tuple[list[KForm], int]:
             raise ValueError("coframe entries must be 1-forms in dimension 7")
         if c.mode is not mode:
             raise ModeMismatchError("cannot combine exact and float forms")
+    return mode
+
+
+def _coframe_matrix(coframe: Sequence[KForm]) -> tuple[tuple, int]:
+    """(N, den) with theta^i = sum_j N_ij e^j / den: the 7x7 coefficient matrix
+    of a coframe, cleared in one `Mode.cleared` pass (integers in exact mode,
+    the coefficients and den = 1 in float mode)."""
+    mode = _coframe_mode(coframe)
+    entries = [mode.zero] * 49
+    for i, c in enumerate(coframe):
+        for m, x in c._terms.items():
+            entries[7 * i + m.bit_length() - 1] = x
+    nums, den = mode.cleared(entries)
+    return tuple(tuple(nums[i:i + 7]) for i in range(0, 49, 7)), den
+
+
+def _cleared_coframe(coframe: Sequence[KForm]) -> tuple[list[KForm], int]:
+    """(t, den) with theta^i = t^i / den: integer forms over one denominator in
+    exact mode, the forms themselves and den = 1 in float mode; only the
+    pullbacks of phi and *phi read these."""
+    mode = _coframe_mode(coframe)
     nums, den = mode.cleared([x for c in coframe for x in c._terms.values()])
     nums = iter(nums)
     return [KForm(7, 1, {m: next(nums) for m in c._terms}, mode) for c in coframe], den
@@ -182,6 +208,8 @@ def induced_metric(phi: KForm) -> tuple[Metric, object]:
 
 # (m, n, mask of theta^mn) for 0-based m < n, the basis 2-forms of a 7-dim frame
 _PAIRS = tuple((m, n, 1 << m | 1 << n) for m in range(7) for n in range(m + 1, 7))
+# _PAIR_INDEX[m][n]: the position of theta^mn in _PAIRS
+_PAIR_INDEX = tuple({n: q for q, (i, n, _) in enumerate(_PAIRS) if i == m} for m in range(7))
 
 
 class _Coframe(NamedTuple):
@@ -202,7 +230,9 @@ def _coframe_table(d_terms: Sequence, s, frame: _Coframe) -> tuple[list, object]
     e^a = (den / det) sum_m adj_am theta^m, so e^ab = (den / det)^2 sum_{m<n}
     (adj_am adj_bn - adj_an adj_bm) theta^mn, the 2x2 minors of rows a, b of adj,
     and d theta^i = sum_k N_ik d e^k / den. Hence t_den = s det^2 and the
-    numerators are den times integers in exact mode.
+    numerators are den times integers in exact mode. A minor of rows a, b is
+    0 unless both its columns are nonzero in one of the rows, so only those
+    minors are formed.
     """
     de = []  # (k, s det^2 / den times the theta^mn coefficients of d e^k)
     for k, terms in enumerate(d_terms):
@@ -210,8 +240,11 @@ def _coframe_table(d_terms: Sequence, s, frame: _Coframe) -> tuple[list, object]
             acc = [0] * len(_PAIRS)
             for mask, c in terms:
                 ra, rb = (frame.adj[i - 1] for i in _indices_from_mask(mask))
-                acc = [x + c * (ra[m] * rb[n] - ra[n] * rb[m])
-                       for x, (m, n, _) in zip(acc, _PAIRS)]
+                cols = [m for m in range(7) if ra[m] or rb[m]]
+                for p, m in enumerate(cols):
+                    for n in cols[p + 1:]:
+                        q = _PAIR_INDEX[m][n]
+                        acc[q] += c * (ra[m] * rb[n] - ra[n] * rb[m])
             de.append((k, acc if frame.den == 1 else [frame.den * x for x in acc]))
     table = []
     for row in frame.N:
@@ -255,22 +288,27 @@ class G2Structure:
     def from_coframe(cls, coframe: Sequence[KForm]) -> "G2Structure":
         """The structure of a coframe theta = C e: g = C^T C, volume det C, and
         the model forms in the frame theta; DegenerateError when det C = 0."""
-        t, den = _cleared_coframe(coframe)
-        mode = t[0].mode
-        N = tuple(tuple(f._terms.get(1 << j, mode.zero) for j in range(7)) for f in t)
+        N, den = _coframe_matrix(coframe)
+        mode = coframe[0].mode
         try:
             adj, d, det = mode.inverse(N)
         except ZeroDivisionError:
             det = 0
         if not det:
             raise DegenerateError("coframe is degenerate")
-        # g = N^T N / den^2, each entry above the diagonal computed once;
-        # symmetric by construction and positive definite as det N != 0
-        cols = transpose(N)
-        gram = [[None] * 7 for _ in range(7)]
+        # g = N^T N / den^2 from the nonzero entries of N's rows: each entry on
+        # and above the diagonal is summed over the rows in order, as `dot`
+        # sums; symmetric by construction and positive definite as det N != 0
+        gram = [[mode.zero] * 7 for _ in range(7)]
+        for row in N:
+            nonzero = [(i, x) for i, x in enumerate(row) if x]
+            for p, (i, x) in enumerate(nonzero):
+                g_i = gram[i]
+                for j, y in nonzero[p:]:
+                    g_i[j] += x * y
         for i in range(7):
-            for j in range(i, 7):
-                gram[i][j] = gram[j][i] = dot(cols[i], cols[j])
+            for j in range(i):
+                gram[i][j] = gram[j][i]
         metric = Metric._from_cleared(tuple(map(tuple, gram)), den * den, mode)
         return cls(None, metric, det if den == 1 else mode.div(det, den ** 7),
                    None, _Coframe(tuple(coframe), N, den, adj, d))
@@ -306,9 +344,8 @@ class G2Structure:
         return _coframe_table(d_terms, s, self._coframe)
 
     def _frame_vector(self, z: Sequence) -> Sequence:
-        """A positive multiple of F z: integers in exact mode, F z itself in
-        float mode."""
-        z = self.mode.cleared([self.mode.convert(x) for x in z])[0]
+        """F z for a cleared vector z (`Mode.cleared`), up to a positive factor
+        in exact mode: integers in exact mode, F z itself in float mode."""
         return z if self._coframe is None else [dot(row, z) for row in self._coframe.N]
 
     def hodge(self, form: KForm) -> KForm:
@@ -352,28 +389,40 @@ def torsion_class(L: LieAlgebra, phi: KForm | G2Structure,
     = |c_F| / (max|d phi_F| max|phi_F|), c_F the F^{1..7} coefficient of
     d phi_F ∧ phi_F; float mode compares each numerator with tol times its
     scale.
+
+    d *phi_F and d phi_F are read as `_differential_num`'s numerators over one
+    denominator each (integers in exact mode; the values themselves, over 1,
+    in float mode). The verdicts and the sum c_F are taken on those
+    numerators, and each reported value is divided once.
     """
     struct = phi if isinstance(phi, G2Structure) else G2Structure.from_phi(phi)
+    mode = struct.mode
     phi_f, star_f, vol_f = struct._frame_forms()
     table, t_den = struct._frame_table(L)
     constants = max((abs(c) for terms in table for _, c in terms), default=0) / t_den
 
-    d_star = _differential(table, t_den, star_f)
+    d_star, den = _differential_num(table, t_den, star_f)
+    top = max(map(abs, d_star.values()), default=0)
     scale_star = constants * star_f.max_abs()
-    res_co = _ratio(d_star.max_abs(), scale_star)
-    coclosed = d_star.is_zero(tol, scale_star)
+    res_co = _ratio(top / den, scale_star)
+    coclosed = mode.equal(top, 0, tol, scale_star)
 
-    dphi = _differential(table, t_den, phi_f)
-    c = top_wedge_coeff(dphi, phi_f)
-    # tau0 = (1/7) * *(dphi ∧ phi); *(F^{1..7}) = 1/vol_F
-    tau0 = struct.mode.div(c, 7 * vol_f)
-    scale_tau = dphi.max_abs() * phi_f.max_abs()
-    res_tau = _ratio(abs(float(c)), scale_tau)
-    purely = coclosed and struct.mode.equal(c, 0, tol, scale_tau)
+    d_phi, den = _differential_num(table, t_den, phi_f)
+    # c = den c_F, summed in the order of d phi_F's terms;
+    # tau0 = (1/7) *(c_F F^{1..7}) = c_F / (7 vol_F)
+    c = mode.zero
+    for m, x in d_phi.items():
+        y = phi_f._terms.get(0x7F ^ m)
+        if x and y is not None:
+            c += _merge_sign(m, 0x7F ^ m) * x * y
+    tau0 = mode.div(c, den * 7 * vol_f)
+    scale_tau = max(map(abs, d_phi.values()), default=0) / den * phi_f.max_abs()
+    res_tau = _ratio(abs(float(c / den)), scale_tau)
+    purely = coclosed and mode.equal(c, 0, tol, scale_tau)
 
-    derived = L.derived_basis()
-    calib = calibrates(struct, derived, tol) if len(derived) == 3 else None
-    return TorsionReport(coclosed, tau0, purely, calib, res_co, res_tau, struct.mode)
+    derived = L._derived_vectors(mode)
+    calib = _calibrated(struct, derived, tol) if len(derived) == 3 else None
+    return TorsionReport(coclosed, tau0, purely, calib, res_co, res_tau, mode)
 
 
 def calibrates(phi: KForm | G2Structure, subspace: Sequence[Sequence],
@@ -382,15 +431,22 @@ def calibrates(phi: KForm | G2Structure, subspace: Sequence[Sequence],
 
     Equivalent to the vanishing of (z1 ⌟ z2 ⌟ z3 ⌟ *phi) for a basis, which is
     basis-independent by multilinearity. It is evaluated in the structure's
-    frame F as (F z1 ⌟ F z2 ⌟ F z3 ⌟ *phi_F); float mode holds it to tol times
-    max|*phi_F| * prod_i max|F z_i|.
+    frame F as (F z1 ⌟ F z2 ⌟ F z3 ⌟ *phi_F), on the cleared z_i; float mode
+    holds it to tol times max|*phi_F| * prod_i max|F z_i|.
     """
     if len(subspace) != 3:
         raise ValueError("calibration test requires a 3-dimensional subspace")
     struct = phi if isinstance(phi, G2Structure) else G2Structure.from_phi(phi)
+    mode = struct.mode
+    return _calibrated(struct, [mode.cleared([mode.convert(x) for x in z])[0]
+                                for z in subspace], tol)
+
+
+def _calibrated(struct: G2Structure, vectors: Sequence[Sequence], tol: float | None) -> bool:
+    """`calibrates` on three cleared vectors (`Mode.cleared`)."""
     w = struct._frame_forms()[1]
     scale = w.max_abs()
-    for z in subspace:
+    for z in vectors:
         v = struct._frame_vector(z)
         w = w.interior(v)
         scale *= max(abs(float(x)) for x in v)

@@ -58,6 +58,7 @@ class LieAlgebra:
         # and the adapted basis as cleared Gram-Schmidt start vectors
         self._constants: dict[Mode, tuple] = {}
         self._starts: dict[Mode, tuple] = {}
+        self._derived_cleared: dict[Mode, tuple] = {}
         self._tensor: np.ndarray | None = None
         # metric-independent invariants, computed on first use
         self._derived: tuple[Vec, ...] | None = None
@@ -234,6 +235,15 @@ class LieAlgebra:
                 for i, j in enumerate(pivots))
         return starts
 
+    def _derived_vectors(self, mode: Mode) -> tuple[tuple, ...]:
+        """The derived basis, each vector cleared (`Mode.cleared`), once per mode."""
+        vectors = self._derived_cleared.get(mode)
+        if vectors is None:
+            vectors = self._derived_cleared[mode] = tuple(
+                tuple(mode.cleared([mode.convert(x) for x in z])[0])
+                for z in self.derived_basis())
+        return vectors
+
     def is_two_step(self) -> bool:
         """Nonabelian with [[f_i, f_j], f_b] = 0, on the bracket table's numerators."""
         if self._two_step is None:
@@ -254,14 +264,24 @@ class LieAlgebra:
 
 def _differential(d_terms: Sequence, d_den, form: KForm) -> KForm:
     """The antiderivation d on a form in a basis e^1..e^n, from the differentials
-    d e^i = sum of numerator * e^mask over d_terms[i - 1], divided by d_den.
+    d e^i = sum of numerator * e^mask over d_terms[i - 1], divided by d_den:
+    `_differential_num`'s numerators, each divided by its denominator."""
+    acc, den = _differential_num(d_terms, d_den, form)
+    mode = form.mode
+    return KForm(form.dim, min(form.degree + 1, form.dim),
+                 {key: mode.div(v, den) for key, v in acc.items() if v}, mode)
+
+
+def _differential_num(d_terms: Sequence, d_den, form: KForm) -> tuple[dict, object]:
+    """(acc, den) with d form = sum of acc[mask] e^mask, divided by den, for the
+    differentials d e^i = sum of numerator * e^mask over d_terms[i - 1] / d_den.
 
     One pass over cleared numerators (integers in exact mode): for the indices
     i_0 < i_1 < ... of e^m, d(c e^m) = sum_p (-1)^p c d e^(i_p) ^ e^(m - i_p).
     Each e^ab ^ e^rest (a < b) carries the sign (-1)^(number of indices of rest
-    between a and b). The sum is divided by the denominators once, at the end.
-    Input terms are read in sorted mask order, so a float sum always runs in
-    one order.
+    between a and b). Nothing is divided; acc may hold zeros where terms
+    cancel. Input terms are read in sorted mask order, so a float sum always
+    runs in one order.
     """
     mode = form.mode
     masks = sorted(form._terms)
@@ -282,9 +302,7 @@ def _differential(d_terms: Sequence, d_den, form: KForm) -> KForm:
                     acc[dm | rest] = acc.get(dm | rest, 0) + t
             bits ^= low
             pos += 1
-    den *= d_den
-    return KForm(form.dim, min(form.degree + 1, form.dim),
-                 {key: mode.div(v, den) for key, v in acc.items() if v}, mode)
+    return acc, den * d_den
 
 
 class Metric:

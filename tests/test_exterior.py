@@ -25,7 +25,7 @@ from g2nil.exterior import (
     top_wedge_coeff,
     volume_form,
 )
-from g2nil._linalg import MinorTable, mat_det, rational_root
+from g2nil._linalg import MinorTable, mat_det, mat_inv_det, rational_root
 from g2nil.liealg import Metric
 
 SEED = 20260818
@@ -366,6 +366,68 @@ def test_exact_inverse_matches_the_cofactor_formula():
         ((0, 0, 6), (3, 0, 0), (0, 2, 0)), 6, 6)
     with pytest.raises(ZeroDivisionError):
         Mode.EXACT.inverse(((1, 2), (2, 4)))
+
+
+NONZERO = st.integers(-9, 9).filter(bool)
+SPARSE = st.one_of(st.just(0), st.just(0), NONZERO)
+
+
+@st.composite
+def sparse_integer_matrices(draw):
+    """7x7 integer matrices of the shapes a coframe's N takes, and singular ones:
+    diagonal, signed permutation, block upper triangular, triangular with its
+    rows rotated (zero leading pivots, so the elimination must swap rows),
+    dense-ish sparse, and each of these made singular."""
+    n = 7
+    kind = draw(st.sampled_from(["diagonal", "permutation", "block", "rotated", "sparse"]))
+    if kind == "diagonal":
+        a = [[draw(NONZERO) if i == j else 0 for j in range(n)] for i in range(n)]
+    elif kind == "permutation":
+        perm = draw(st.permutations(range(n)))
+        a = [[draw(NONZERO) if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    elif kind == "block":
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=4)))
+        block = [sum(c <= i for c in cuts) for i in range(n)]
+        a = [[draw(SPARSE) if block[i] <= block[j] else 0 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            a[i][i] = draw(NONZERO)
+    elif kind == "rotated":
+        a = [[draw(NONZERO) if i == j else draw(SPARSE) if j > i else 0 for j in range(n)]
+             for i in range(n)]
+        shift = draw(st.integers(1, n - 1))
+        a = a[shift:] + a[:shift]
+    else:
+        a = [[draw(SPARSE) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        # singular: a zero row, a zero column or a row repeated with a factor
+        how = draw(st.sampled_from(["row", "column", "multiple"]))
+        i, j = draw(st.permutations(range(n)))[:2]
+        if how == "row":
+            a[i] = [0] * n
+        elif how == "column":
+            for row in a:
+                row[j] = 0
+        else:
+            a[i] = [draw(NONZERO) * x for x in a[j]]
+    return tuple(map(tuple, a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_integer_matrices())
+def test_exact_inverse_on_sparse_integer_matrices(a):
+    """Exact Mode.inverse, which leaves rows with a zero multiplier alone, gives
+    (det a^-1, det a, det a) against the Fraction inverse and Laplace
+    determinant, with integer entries; a singular matrix raises."""
+    det = mat_det(a)
+    if not det:
+        with pytest.raises(ZeroDivisionError):
+            Mode.EXACT.inverse(a)
+        return
+    inv, inv_det = mat_inv_det(a)
+    adj, d, got_det = Mode.EXACT.inverse(a)
+    assert (d, got_det) == (det, det) == (inv_det, inv_det)
+    assert adj == tuple(tuple(det * x for x in row) for row in inv)
+    assert all(type(x) is int for row in adj for x in row)
 
 
 def test_float_inverse_gives_the_determinant():

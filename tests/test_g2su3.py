@@ -3,6 +3,7 @@ calibration of subspaces."""
 
 import functools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2nil import catalog
-from g2nil.exterior import DegenerateError, ExactnessError, KForm, Mode, top_wedge_coeff
+from g2nil.exterior import (DegenerateError, ExactnessError, KForm, Mode, ModeMismatchError,
+                             top_wedge_coeff)
 from g2nil.g2su3 import (
     G2Structure,
     calibrates,
@@ -20,7 +22,7 @@ from g2nil.g2su3 import (
     starphi_standard,
     torsion_class,
 )
-from g2nil.liealg import LieAlgebra, Metric
+from g2nil.liealg import LieAlgebra, Metric, _differential
 
 SEED = 424242
 
@@ -198,6 +200,30 @@ def test_singular_coframe_is_degenerate_in_both_modes(mode):
         G2Structure.from_coframe(_forms(rows, mode))
 
 
+_E = [KForm.basis(7, i) for i in range(1, 8)]
+_NOT_SEVEN = "a coframe consists of seven 1-forms"
+_NOT_ONE_FORMS = "coframe entries must be 1-forms in dimension 7"
+_MIXED = "cannot combine exact and float forms"
+
+
+@pytest.mark.parametrize("coframe, error, message", [
+    (_E[:6], ValueError, _NOT_SEVEN),
+    (_E + [_E[0]], ValueError, _NOT_SEVEN),
+    (_E[:6] + [KForm.basis(7, (1, 2))], ValueError, _NOT_ONE_FORMS),
+    (_E[:6] + [KForm.basis(6, 1)], ValueError, _NOT_ONE_FORMS),
+    # the shape is checked before the mode, entry by entry
+    (_E[:6] + [KForm.basis(7, (1, 2), Mode.FLOAT)], ValueError, _NOT_ONE_FORMS),
+    (_E[:3] + [_E[3].to_float()] + _E[4:], ModeMismatchError, _MIXED),
+    ([f.to_float() for f in _E[:6]] + [_E[6]], ModeMismatchError, _MIXED),
+], ids=["six", "eight", "two-form", "dim6", "float-two-form", "one-float", "one-exact"])
+def test_coframe_input_is_validated(coframe, error, message):
+    """from_coframe and phi_from_coframe reject anything but seven 1-forms in
+    dimension 7 of one mode, with these errors and messages."""
+    for build in (G2Structure.from_coframe, phi_from_coframe):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build(coframe)
+
+
 _HOMOTHETY_BASE = (rand_coframe(random.Random(SEED + 5))[1],
                    catalog.coframe_from_fixture(catalog.load_fixture("n7_3_B_pure.json")))
 
@@ -354,6 +380,79 @@ def test_frame_torsion_matches_the_phi_round_trip():
                 assert abs(flt.tau0 - float(got.tau0)) <= 1e-9 * abs(float(got.tau0))
             else:
                 assert flt.residual_tau0 <= 1e-9
+
+
+def _ratio(num, scale):
+    return num / scale if num else 0.0
+
+
+def _kform_report(L, struct, tol=None):
+    """The TorsionReport fields taken on KForms: d *phi_F and d phi_F through
+    `_differential` (each coefficient divided), c_F through `top_wedge_coeff`."""
+    phi_f, star_f, vol_f = struct._frame_forms()
+    table, t_den = struct._frame_table(L)
+    constants = max((abs(c) for terms in table for _, c in terms), default=0) / t_den
+    d_star = _differential(table, t_den, star_f)
+    scale_star = constants * star_f.max_abs()
+    coclosed = d_star.is_zero(tol, scale_star)
+    dphi = _differential(table, t_den, phi_f)
+    c = top_wedge_coeff(dphi, phi_f)
+    scale_tau = dphi.max_abs() * phi_f.max_abs()
+    derived = L.derived_basis()
+    return (coclosed, struct.mode.div(c, 7 * vol_f),
+            coclosed and struct.mode.equal(c, 0, tol, scale_tau),
+            calibrates(struct, derived, tol) if len(derived) == 3 else None,
+            _ratio(d_star.max_abs(), scale_star), _ratio(abs(float(c)), scale_tau),
+            struct.mode)
+
+
+def _fixture_coframes():
+    """(algebra, coframe) for every pure-coframe fixture and every sample of the
+    family-coframe fixtures, each as it is and composed with a shear
+    automorphism of its algebra."""
+    rng = random.Random(SEED + 23)
+    out = []
+    for name in catalog.fixture_names():
+        fx = catalog.load_fixture(name)
+        entry = catalog.get(fx["algebra"])
+        if fx["kind"] == "pure_coframe":
+            coframes = [catalog.coframe_from_fixture(fx)]
+        elif fx["kind"] == "family_coframe":
+            coframes = [catalog.coframe_from_fixture(
+                fx, dict(zip(fx["params"], map(Fraction, sample["values"]))))
+                for sample in fx["samples"]]
+        else:
+            continue
+        for cof in coframes:
+            A = _shear_automorphism(entry.structure, rng)
+            C = _rows(cof)
+            out += [(entry.algebra, cof), (entry.algebra, _forms(
+                [[sum(C[i][k] * A[k][j] for k in range(7)) for j in range(7)]
+                 for i in range(7)]))]
+    return out
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_torsion_on_numerators_matches_the_kform_route(mode):
+    """torsion_class decides and sums on the undivided numerators of d; its
+    report equals, field by field in value and type, the one taken on the
+    divided KForms, for the coframe structures and for from_phi structures
+    of the same coframes."""
+    pairs = _fixture_coframes()
+    assert len(pairs) == 2 * (10 + 10)  # 10 pure fixtures, 10 family samples
+    seen = set()
+    for L, cof in pairs:
+        if mode is Mode.FLOAT:
+            cof = [f.to_float() for f in cof]
+        for struct in (G2Structure.from_coframe(cof), G2Structure.from_phi(phi_from_coframe(cof))):
+            rep = torsion_class(L, struct)
+            got = (rep.coclosed, rep.tau0, rep.purely_coclosed, rep.calibrates_derived,
+                   rep.residual_coclosed, rep.residual_tau0, rep.mode)
+            want = _kform_report(L, struct)
+            assert got == want
+            assert [type(x) for x in got] == [type(x) for x in want]
+            seen.add((rep.coclosed, rep.purely_coclosed))
+    assert {(True, True), (True, False)} <= seen
 
 
 _SCALES = (Fraction(1, 10 ** 8), Fraction(1, 1000), Fraction(1), Fraction(1000), Fraction(10 ** 8))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2nil import catalog
-from g2nil._linalg import gram_schmidt_sq, mat_inv, mat_mul, mat_vec, nullspace, row_space_basis
+from g2nil._linalg import gram_schmidt_sq, mat_inv, mat_mul, nullspace, row_space_basis
 from g2nil.exterior import KForm, Mode, ModeMismatchError
 from g2nil.liealg import (
     LieAlgebra,
@@ -406,6 +406,9 @@ def _oracle_nilsoliton(L, g):
     tr1 = sum(rc[i][i] for i in range(7))
     tr2 = sum(rc[i][j] * rc[j][i] for i in range(7) for j in range(7))
     N = [[tr1 * x - tr2 * (i == j) for j, x in enumerate(row)] for i, row in enumerate(rc)]
+    def mat_vec(a, v):
+        return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a)
+
     units = [tuple(Fraction(int(i == k)) for i in range(7)) for k in range(7)]
     pairs = list(combinations(units, 2))
     defect = max(abs(u - v - w) for x, y in pairs for u, v, w in zip(

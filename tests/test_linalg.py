@@ -1,7 +1,7 @@
-"""The scalar-generic linear-algebra layer: `dot` and `mat_vec` skip zero
-factors and must still equal the dense textbook sums; `mat_det`, `mat_inv`,
-`mat_mul` and `gram_schmidt_sq` give exact results on Fractions and agree with
-numpy on floats."""
+"""The scalar-generic linear-algebra layer: `dot` skips zero factors and must
+still equal the dense textbook sum; `mat_det`, `mat_inv`, `mat_mul` and
+`gram_schmidt_sq` give exact results on Fractions and agree with numpy on
+floats."""
 
 from fractions import Fraction
 
@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2nil._linalg import (dot, gram_schmidt_sq, mat_det, mat_inv, mat_mul, mat_vec,
-                           transpose)
+from g2nil._linalg import dot, gram_schmidt_sq, mat_det, mat_inv, mat_mul, transpose
 from g2nil.exterior import DegenerateError, MetricContext, Mode
 from g2nil.liealg import Metric
 
@@ -31,16 +30,6 @@ def test_dot_equals_dense_sum(uv):
     got = dot(u, v)
     assert type(got) is Fraction
     assert got == sum((x * y for x, y in zip(u, v)), Fraction(0))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 7).flatmap(
-    lambda n: st.tuples(st.lists(vectors(n), min_size=1, max_size=7), vectors(n))))
-def test_mat_vec_equals_dense_product(av):
-    a, v = av
-    got = mat_vec(tuple(a), v)
-    assert all(type(x) is Fraction for x in got)
-    assert got == tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a)
 
 
 # -- one code path for both scalar types ---------------------------------------
